@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DecompositionError, OracleMismatchError, StateError
 from .gns import AlgebraState, GnsSpace, IsotypicDecomposition, build_gns, gns_density, isotypic_decompose
-from .linalg import DEFAULT_RTOL, ORACLE_TOL, dagger, hermitize, hs_norm
+from .linalg import DEFAULT_RTOL, ORACLE_TOL, dagger, hermitize, hs_norm, range_basis
 from .star_algebra import OperatorSpan, WedderburnData, wedderburn
 
 LN2 = float(np.log(2.0))
@@ -119,11 +119,6 @@ class DensityElement:
         return np.sort(w[w > tol])[::-1]
 
 
-def _block_range(z: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(hermitize(z))
-    return vecs[:, vals > 0.5]
-
-
 def density_element(
     span: OperatorSpan,
     blocks: WedderburnData,
@@ -161,7 +156,7 @@ def density_element(
 
     spectra = []
     for z, n_k, m_k in zip(blocks.projections, blocks.block_ranks, blocks.multiplicities):
-        V = _block_range(z)
+        V = range_basis(z)
         comp = hermitize(dagger(V) @ D_mat @ V)
         vals = np.linalg.eigvalsh(comp)
         if vals.size != n_k * m_k:

@@ -10,7 +10,14 @@ the state.
 
 The quotient representation is then split into isotypic components. The
 component projections are the minimal projections of the center of the
-commutant of the representation. Inside a component of multiplicity m the
+commutant of the representation. Because the null space is a left ideal,
+that commutant is made of right multiplications: right multiplication by
+an element c passes to the quotient when it maps the null space into
+itself, and its compressions to the quotient span the whole commutant
+(all of the right-regular representation when the state is faithful on
+the span). It is read off the same structure constants, Gram matrix and
+quotient basis as the representation itself, with no Kronecker solve and
+no data from the block route. Inside a component of multiplicity m the
 state weight spreads over m Schmidt directions; the canonical refined
 weights are the eigenvalues of the overlap matrix ``W[i,j] =
 <cyclic| E_ij |cyclic>`` built from matrix units ``E_ij`` of the
@@ -27,16 +34,19 @@ import numpy as np
 
 from .errors import ClosureError, DecompositionError, StateError
 from .linalg import (
+    CLOSURE_SLACK,
     CLUSTER_TOL,
     DEFAULT_RTOL,
     NULL_FLOOR,
     dagger,
     eig_clusters,
+    hermitian_span_basis,
     hermitize,
     hs_norm,
     orthonormalize_rows,
+    range_basis,
 )
-from .star_algebra import MAX_DRAWS, OperatorSpan, center, commutant, minimal_projections
+from .star_algebra import MAX_DRAWS, OperatorSpan, center, minimal_projections
 
 
 class AlgebraState:
@@ -217,7 +227,7 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     Q = kept / np.sqrt(kept_vals)
 
     coeff, resid = span.structure_constants()
-    if resid > 1e3 * rtol:
+    if resid > CLOSURE_SLACK * rtol:
         raise ClosureError(
             f"span is not multiplicatively closed (residual {resid:.3e}); "
             "GNS needs an algebra"
@@ -278,15 +288,36 @@ class IsotypicDecomposition:
 
 def _corner_span(P: np.ndarray, span: OperatorSpan, rtol: float) -> np.ndarray:
     """Orthonormal basis of ``P span P`` as a matrix stack."""
-    corner = np.einsum("ij,ajk,kl->ail", P, span.basis, P)
+    corner = P @ span.basis @ P
     rows = orthonormalize_rows(corner.reshape(corner.shape[0], -1), rtol=rtol)
     return rows.reshape(-1, P.shape[0], P.shape[0])
 
 
-def _range_basis(P: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a Hermitian projection."""
-    vals, vecs = np.linalg.eigh(hermitize(P))
-    return vecs[:, vals > 0.5]
+def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
+    """Commutant of the GNS representation, as compressed right multiplications.
+
+    Right multiplication by ``gamma`` acts on coefficient space as
+    ``R_gamma = sum_a gamma_a R_a`` with ``R_a[c, b] = coeff[b, a, c]``. It
+    passes to the quotient when it maps the null space into itself, i.e.
+    ``Q^dag G R_gamma nu = 0`` for every null column ``nu``; it commutes
+    with every left multiplication, and the compressions ``Q^dag G R_gamma
+    Q`` of the allowed ``gamma`` span the commutant of the representation.
+    """
+    coeff, _ = space.span.structure_constants()
+    n, r = space.span.dim, space.gns_dim
+    Q = space.quotient_coords
+    right = (Q.conj().T @ space.gram) @ coeff.transpose(1, 2, 0)
+    cond = (right @ space.null_coords).reshape(n, -1).T
+    # The cut is relative to the whole map gamma -> Q^dag G R_gamma, not to
+    # the condition alone: where every gamma is allowed the condition is
+    # pure roundoff, and a cut relative to it would reject them all.
+    scale = np.linalg.norm(right.reshape(n, -1).T, 2)
+    _, s, vh = np.linalg.svd(cond, full_matrices=True)
+    allowed = vh[np.count_nonzero(s > rtol * scale):].conj()
+    images = np.tensordot(allowed, right @ Q, axes=(1, 0))
+    _, s, vh = np.linalg.svd(images.reshape(-1, r * r), full_matrices=False)
+    basis = vh[: np.count_nonzero(s > rtol * s[0])].reshape(-1, r, r)
+    return OperatorSpan(basis, rtol=rtol)
 
 
 def _refined_weights(
@@ -306,13 +337,8 @@ def _refined_weights(
     projected random elements give the partial isometries connecting them.
     The eigenvalues of the resulting overlap matrix are the weights.
     """
-    V = _range_basis(P)
-    herm = []
-    for b in corner:
-        herm.append(0.5 * (b + dagger(b)))
-        herm.append(-0.5j * (b - dagger(b)))
-    herm = orthonormalize_rows([h.ravel() for h in herm], rtol=rtol)
-    herm = hermitize(herm.reshape(-1, P.shape[0], P.shape[0]))
+    V = range_basis(P)
+    herm = hermitian_span_basis(corner, rtol=rtol)
 
     for _ in range(MAX_DRAWS):
         h = np.tensordot(rng.standard_normal(len(herm)), herm, axes=(0, 0))
@@ -365,15 +391,18 @@ def isotypic_decompose(
     The component projections are the minimal projections of the center of
     the representation's commutant (equivalently, the minimal central
     projections of the algebra generated by the representation together
-    with its commutant). Components come back sorted by descending irrep
-    dimension, then multiplicity.
+    with its commutant). The commutant is taken as the right
+    multiplications that preserve the null ideal, compressed to the
+    quotient, rather than solved for from the representation matrices;
+    :func:`gnsentropy.star_algebra.commutant` gives the same span and
+    serves as its test oracle. Components come back sorted by descending
+    irrep dimension, then multiplicity.
     """
     rtol = space.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
-    reps = space.rep_matrices
     if space.gns_dim == 0:
         raise ValueError("GNS space is zero-dimensional")
-    C = commutant(list(reps), rtol=rtol)
+    C = _quotient_commutant(space, rtol)
     Z = center(C, rtol=rtol)
     rng = np.random.default_rng(seed)
     projs = minimal_projections(Z, rng, cluster_tol=cluster_tol)

@@ -27,6 +27,10 @@ ORACLE_TOL = 1e-8
 #: semidefinite matrices (scale ~ roundoff) classify as all-null.
 NULL_FLOOR = 1e-24
 
+#: A product or adjoint closure residual may exceed the rank cut by this
+#: factor before a span counts as not closed.
+CLOSURE_SLACK = 1e3
+
 
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose, broadcasting over leading axes."""
@@ -92,6 +96,32 @@ def orthonormalize_rows(
     if not kept:
         return np.zeros((0, width), dtype=complex)
     return np.array(kept)
+
+
+def hermitian_span_basis(mats: np.ndarray, rtol: float | None = None) -> np.ndarray:
+    """Orthonormal Hermitian matrices spanning the Hermitian parts of a stack.
+
+    The 2n candidates ``(X + X^dag)/2`` and ``(X - X^dag)/2i`` span a real
+    vector space, so they are cut as real vectors (real and imaginary parts
+    side by side) by one SVD: exactly the right singular vectors whose
+    singular value exceeds ``rtol`` times the largest are kept. For a
+    *-closed span of complex dimension n that gives n matrices.
+    """
+    rtol = DEFAULT_RTOL if rtol is None else rtol
+    mats = np.asarray(mats, dtype=complex)
+    n, D = mats.shape[0], mats.shape[-1]
+    adj = dagger(mats)
+    cands = np.concatenate([0.5 * (mats + adj), -0.5j * (mats - adj)]).reshape(2 * n, D * D)
+    _, s, vh = np.linalg.svd(np.hstack([cands.real, cands.imag]), full_matrices=False)
+    keep = int(np.count_nonzero(s > rtol * s[0])) if s.size else 0
+    rows = vh[:keep, : D * D] + 1j * vh[:keep, D * D :]
+    return hermitize(rows.reshape(keep, D, D))
+
+
+def range_basis(P: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of a Hermitian projection."""
+    vals, vecs = np.linalg.eigh(hermitize(P))
+    return vecs[:, vals > 0.5]
 
 
 def eigh_null_split(M: np.ndarray, rtol: float | None = None):

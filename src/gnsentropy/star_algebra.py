@@ -20,13 +20,14 @@ import numpy as np
 
 from .errors import ClosureError, DecompositionError
 from .linalg import (
+    CLOSURE_SLACK,
     CLUSTER_TOL,
     DEFAULT_RTOL,
     as_square,
     dagger,
     eig_clusters,
     eigh_null_split,
-    hermitize,
+    hermitian_span_basis,
     hs_norm,
     matrix_rank,
     orthonormalize_rows,
@@ -142,15 +143,11 @@ class OperatorSpan:
         """Orthonormal Hermitian matrices spanning the Hermitian part.
 
         For a *-closed span of complex dimension n the Hermitian part has
-        real dimension n; for a non-*-closed span fewer vectors come back.
+        real dimension n, and exactly n matrices come back. For a span that
+        is not *-closed they span the Hermitian part of the span plus its
+        adjoint.
         """
-        cands = []
-        for b in self.basis:
-            cands.append(0.5 * (b + dagger(b)))
-            cands.append(-0.5j * (b - dagger(b)))
-        D = self.ambient_dim
-        rows = orthonormalize_rows([c.ravel() for c in cands], rtol=self.rtol)
-        return hermitize(rows.reshape(-1, D, D))
+        return hermitian_span_basis(self.basis, rtol=self.rtol)
 
     def validate(self, rtol: float | None = None) -> dict[str, float]:
         """Residuals of the span invariants, for tests and diagnostics."""
@@ -249,7 +246,7 @@ def span_closure(
         if new.shape[0] == 0:
             span = OperatorSpan(basis.reshape(-1, D, D), rtol=rtol)
             _, adj_resid = span.adjoint_coords()
-            if adj_resid > 1e3 * rtol:
+            if adj_resid > CLOSURE_SLACK * rtol:
                 raise ClosureError(
                     f"closure is not adjoint-stable (residual {adj_resid:.3e})"
                 )
@@ -278,8 +275,7 @@ def center(span: OperatorSpan, rtol: float | None = None) -> OperatorSpan:
     rtol = span.rtol if rtol is None else rtol
     B = span.basis
     n, D = span.dim, span.ambient_dim
-    left = np.einsum("iuv,avw->iauw", B, B)
-    comm = left - np.einsum("auv,ivw->iauw", B, B)
+    comm = np.matmul(B[:, None], B[None]) - np.matmul(B[None], B[:, None])
     K = comm.reshape(n, n * D * D)
     M = K.conj() @ K.T
     _, vecs, n_null = eigh_null_split(M, rtol=rtol)
@@ -291,10 +287,14 @@ def center(span: OperatorSpan, rtol: float | None = None) -> OperatorSpan:
 def commutant(rep_matrices, rtol: float | None = None) -> OperatorSpan:
     """All matrices commuting with every given matrix.
 
-    Accumulates the normal equations of the commutator map ``X -> [X, R]``
-    (a PSD matrix on C^(r*r), assembled from Kronecker products) and takes
-    its null space, so the result is exact for the full input set with no
-    random choices. Always contains the identity.
+    The generic route, for any set of matrices: accumulates the normal
+    equations of the commutator map ``X -> [X, R]`` (a PSD matrix on
+    C^(r*r), assembled from Kronecker products) and takes its null space,
+    so the result is exact for the full input set with no random choices.
+    Always contains the identity. It costs O(r^6); a GNS representation
+    gets its commutant from right multiplications instead (see
+    :func:`gnsentropy.gns.isotypic_decompose`), and this function is the
+    oracle that route is tested against.
     """
     rtol = DEFAULT_RTOL if rtol is None else rtol
     mats = [as_square(m, name=f"rep_matrices[{i}]") for i, m in enumerate(rep_matrices)]
@@ -380,7 +380,7 @@ def wedderburn(
     if not span.has_unit:
         raise ValueError("wedderburn requires a unital span")
     _, adj_resid = span.adjoint_coords()
-    if adj_resid > 1e3 * rtol:
+    if adj_resid > CLOSURE_SLACK * rtol:
         raise ClosureError(
             f"wedderburn requires a *-closed span (adjoint residual {adj_resid:.3e})"
         )
@@ -391,7 +391,7 @@ def wedderburn(
     n_dim, D = span.dim, span.ambient_dim
     blocks = []
     for z, lam in projs:
-        corner = np.einsum("ij,ajk,kl->ail", z, B, z).reshape(n_dim, D * D)
+        corner = (z @ B @ z).reshape(n_dim, D * D)
         block_dim = matrix_rank(corner, rtol=rtol)
         n_k = _check_int(np.sqrt(block_dim), "sqrt(block dimension)")
         m_k = _check_int(float(np.trace(z).real) / n_k, "block multiplicity")

@@ -114,6 +114,32 @@ def span_projector(basis):
     return q @ q.conj().T
 
 
+def random_frame(rng, D):
+    """Random unitary from the QR of a complex Gaussian, phases fixed."""
+    z = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_tensor_factor(rng, k, m):
+    """A generator of ``U (M_k (x) 1_m) U^dag``, a pure state and its weights.
+
+    Draws, in this order, the frame U, a complex Gaussian k x k matrix G
+    and a Gaussian unit vector psi. Returns ``(U (G (x) 1_m) U^dag, psi,
+    weights)``, where the weights are the squared singular values of
+    ``U^dag psi`` reshaped to (k, m): the spectrum of psi restricted to the
+    algebra, which a generic G generates.
+    """
+    D = k * m
+    U = random_frame(rng, D)
+    G = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    psi = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    psi /= np.linalg.norm(psi)
+    gen = U @ np.kron(G, np.eye(m)) @ U.conj().T
+    weights = np.linalg.svd((U.conj().T @ psi).reshape(k, m), compute_uv=False) ** 2
+    return gen, psi, weights
+
+
 def random_block_span(rng, D, max_rank=None):
     """A planted block *-algebra on C^D in a random orthonormal frame.
 
@@ -132,9 +158,7 @@ def random_block_span(rng, D, max_rank=None):
             n = max_rank if size % max_rank == 0 else 1
         blocks.append((n, size // n))
         remaining -= size
-    z = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    q, r = np.linalg.qr(z)
-    frame = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    frame = random_frame(rng, D)
     basis = []
     offset = 0
     for n, m in blocks:

@@ -10,6 +10,7 @@ from gnsentropy import (
     full_matrix_algebra,
     partial_trace,
     restriction_entropy,
+    span_closure,
     spectra_agree,
     von_neumann_entropy,
     wedderburn,
@@ -269,6 +270,33 @@ def test_one_sided_functional_equals_reduced_state_moments(seed):
         lhs = state.value(np.kron(K, np.eye(dB)))
         rhs = np.trace(rho_a @ K)
         assert abs(lhs - rhs) < 1e-12
+
+
+TENSOR_FACTORS = [(2, 3), (3, 2), (2, 7), (3, 4), (4, 3), (2, 12), (3, 6), (4, 5), (4, 4), (4, 6), (3, 8)]
+
+
+@pytest.mark.parametrize("case", range(len(TENSOR_FACTORS)))
+def test_both_routes_on_random_tensor_factor_algebras(case):
+    k, m = TENSOR_FACTORS[case]
+    gen, psi, weights = bf.random_tensor_factor(np.random.default_rng(630 + case), k, m)
+    span = span_closure([gen], include_unit=True)
+    assert span.dim == k * k
+    rep = restriction_entropy(span, AlgebraState(vector=psi), method="both", seed=case)
+    assert rep.methods_agree
+    assert spectra_agree(rep.spectrum, weights, tol=1e-8)
+    assert rep.commutant_dim == min(k, m) ** 2
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+def test_both_routes_on_faithful_full_matrix_algebras(D):
+    rng = np.random.default_rng(650 + D)
+    X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    rho = X @ X.conj().T
+    rho /= np.trace(rho).real
+    rep = restriction_entropy(full_matrix_algebra(D), AlgebraState(density=rho), method="both", seed=D)
+    assert rep.methods_agree
+    assert spectra_agree(rep.spectrum, np.linalg.eigvalsh(rho), tol=1e-8)
+    assert (rep.gns_dim, rep.null_dim, rep.commutant_dim) == (D * D, 0, D * D)
 
 
 def test_spectra_agreement_helper():

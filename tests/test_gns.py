@@ -10,8 +10,13 @@ from gnsentropy import (
     gns_density,
     gram_matrix,
     isotypic_decompose,
+    restriction_entropy,
+    span_closure,
 )
 from gnsentropy.fock import PAULI
+from gnsentropy.gns import _quotient_commutant
+
+import bruteforce as bf
 
 
 def unit(d, i, j):
@@ -320,3 +325,85 @@ def test_purity_iff_trivial_commutant(presets):
         )
         assert (entropy < 1e-9) == want_pure
         assert (commutant(list(space.rep_matrices)).dim == 1) == want_pure
+
+
+# ---------------------------------------------------------------------------
+# commutant from right multiplications, against the Kronecker oracle
+
+
+def assert_commutant_matches_oracle(space):
+    got = _quotient_commutant(space, space.rtol)
+    want = commutant(list(space.rep_matrices))
+    assert got.dim == want.dim
+    gap = np.linalg.norm(bf.span_projector(got.basis) - bf.span_projector(want.basis), 2)
+    assert gap <= 1e-10
+    reps = space.rep_matrices[None]
+    C = got.basis[:, None]
+    assert np.abs(C @ reps - reps @ C).max() < 1e-9
+
+
+FAMILY_GRIDS = {
+    "ex1_m2": [{"lambda": lam} for lam in np.linspace(0.0, 1.0, 50)],
+    "ex2_bell": [{}],
+    "ex3_choice1": [{"theta": th} for th in np.linspace(0.0, np.pi / 2, 50)],
+    "ex3_choice2": [{"theta": th} for th in np.linspace(0.0, np.pi / 2, 50)],
+    "ex4_left": [{"theta": th} for th in np.linspace(0.0, np.pi / 2, 50)],
+    "ex5_bosons": [
+        {"theta": th, "phi": ph}
+        for th in np.linspace(0.0, np.pi, 7)
+        for ph in np.linspace(0.0, 2 * np.pi, 7)
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_GRIDS))
+def test_quotient_commutant_matches_oracle_across_preset_families(presets, name):
+    span, family = presets[name]
+    for params in FAMILY_GRIDS[name]:
+        assert_commutant_matches_oracle(build_gns(span, family.state(params)))
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_quotient_commutant_of_faithful_state_is_right_regular(D):
+    rng = np.random.default_rng(610 + D)
+    X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    rho = X @ X.conj().T
+    space = build_gns(full_matrix_algebra(D), AlgebraState(density=rho, normalize=True))
+    assert space.null_dim == 0
+    assert_commutant_matches_oracle(space)
+    assert _quotient_commutant(space, space.rtol).dim == D * D
+
+
+@pytest.mark.parametrize("k, m, rng_seed", [(3, 3, 103), (4, 6, 101), (2, 5, 620), (4, 2, 621)])
+def test_quotient_commutant_matches_oracle_on_tensor_frames(k, m, rng_seed):
+    gen, psi, _ = bf.random_tensor_factor(np.random.default_rng(rng_seed), k, m)
+    span = span_closure([gen], include_unit=True)
+    assert_commutant_matches_oracle(build_gns(span, AlgebraState(vector=psi)))
+
+
+# The inputs on which a Gram-Schmidt Hermitian basis kept one roundoff
+# direction too many (10 for dim 9, 17 for dim 16), so no random element
+# of the commutant split its multiplicity clusters.
+HERMITIAN_REPROS = [(3, 3, 3), (4, 6, 1), (4, 6, 8), (4, 6, 19)]
+
+
+@pytest.mark.parametrize("k, m, s", HERMITIAN_REPROS)
+def test_hermitian_basis_count_equals_span_dim(k, m, s):
+    gen, psi, _ = bf.random_tensor_factor(np.random.default_rng(100 + s), k, m)
+    space = build_gns(span_closure([gen], include_unit=True), AlgebraState(vector=psi))
+    C = commutant(list(space.rep_matrices))
+    assert C.dim == k * k
+    herm = C.hermitian_basis()
+    assert len(herm) == C.dim
+    assert np.abs(herm - herm.conj().swapaxes(-1, -2)).max() < 1e-12
+    flat = herm.reshape(len(herm), -1)
+    assert np.abs(flat.conj() @ flat.T - np.eye(len(herm))).max() < 1e-12
+
+
+@pytest.mark.parametrize("k, m, s", HERMITIAN_REPROS)
+def test_hermitian_basis_repros_pass_both_routes(k, m, s):
+    gen, psi, weights = bf.random_tensor_factor(np.random.default_rng(100 + s), k, m)
+    span = span_closure([gen], include_unit=True)
+    rep = restriction_entropy(span, AlgebraState(vector=psi), method="both", seed=s)
+    assert rep.methods_agree
+    assert np.abs(np.sort(rep.spectrum) - np.sort(weights)).max() < 1e-8
