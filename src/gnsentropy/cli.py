@@ -78,10 +78,6 @@ def parse_matrix(data, dim: int | None, name: str) -> np.ndarray:
     return m
 
 
-def encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 

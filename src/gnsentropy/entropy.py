@@ -139,7 +139,8 @@ def density_element(
     omega_weights = sum(
         z / m for z, m in zip(blocks.projections, blocks.multiplicities)
     )
-    T = np.einsum("ij,cjk,aki->ac", omega_weights, B, B, optimize=True)
+    # T[a, c] = trace(W B_c B_a) with W the block-trace weights
+    T = B.transpose(0, 2, 1).reshape(n, -1) @ (omega_weights @ B).reshape(n, -1).T
     y = state.values(B)
     try:
         coeffs = np.linalg.solve(T, y)

@@ -37,9 +37,9 @@ from .linalg import (
     CLOSURE_SLACK,
     CLUSTER_TOL,
     DEFAULT_RTOL,
-    NULL_FLOOR,
     dagger,
     eig_clusters,
+    eigh_null_split,
     hermitian_span_basis,
     hermitize,
     hs_norm,
@@ -113,12 +113,11 @@ class AlgebraState:
         """Low-rank factor L with backing = L L^dag (a column for vectors)."""
         if self.is_vector:
             return self.vector.reshape(-1, 1)
-        vals, vecs = np.linalg.eigh(self.density)
+        vals, vecs, n_null = eigh_null_split(self.density, rtol=self.rtol)
         floor = -1e-9 * max(float(vals[-1]), 0.0)
         if float(vals[0]) < floor:
             raise StateError(f"density matrix has negative eigenvalue {vals[0]!r}")
-        keep = vals > max(self.rtol * max(float(vals[-1]), 0.0), NULL_FLOOR)
-        return vecs[:, keep] * np.sqrt(vals[keep])
+        return vecs[:, n_null:] * np.sqrt(vals[n_null:])
 
     def value(self, X: np.ndarray) -> complex:
         """Evaluate the functional on one matrix."""
@@ -158,10 +157,14 @@ def gram_matrix(algebra, state: AlgebraState, validate: bool = True) -> np.ndarr
         )
     G = state.gram(mats)
     if validate and G.size:
-        vals = np.linalg.eigvalsh(hermitize(G))
-        if float(vals[0]) < -1e-9 * max(float(vals[-1]), 1.0):
-            raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
+        _check_gram_psd(np.linalg.eigvalsh(hermitize(G)))
     return G
+
+
+def _check_gram_psd(vals: np.ndarray) -> None:
+    """Reject a Gram matrix whose ascending eigenvalues dip below roundoff."""
+    if float(vals[0]) < -1e-9 * max(float(vals[-1]), 1.0):
+        raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -215,16 +218,10 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     if not span.has_unit:
         raise ValueError("GNS construction requires a unital span")
     G = gram_matrix(span, state, validate=False)
-    vals, vecs = np.linalg.eigh(hermitize(G))
-    top = max(float(vals[-1]), 0.0)
-    if float(vals[0]) < -1e-9 * max(top, 1.0):
-        raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
-    cut = max(rtol * top, NULL_FLOOR)
-    null_mask = vals <= cut
-    null_coords = vecs[:, null_mask]
-    kept = vecs[:, ~null_mask]
-    kept_vals = vals[~null_mask]
-    Q = kept / np.sqrt(kept_vals)
+    vals, vecs, n_null = eigh_null_split(G, rtol=rtol)
+    _check_gram_psd(vals)
+    null_coords = vecs[:, :n_null]
+    Q = vecs[:, n_null:] / np.sqrt(vals[n_null:])
 
     coeff, resid = span.structure_constants()
     if resid > CLOSURE_SLACK * rtol:
@@ -234,7 +231,7 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
         )
     # left multiplication by B_a on coefficient space: (L_a)[c, b] = coeff[a, b, c]
     L = coeff.transpose(0, 2, 1)
-    rep = np.einsum("ir,ij,ajk,ks->ars", Q.conj(), G, L, Q, optimize=True)
+    rep = (Q.conj().T @ G) @ L @ Q
     cyclic = Q.conj().T @ (G @ span.unit_coords)
     return GnsSpace(
         span=span,

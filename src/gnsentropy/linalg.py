@@ -67,35 +67,35 @@ def as_square(x, ambient_dim: int | None = None, name: str = "matrix") -> np.nda
 def orthonormalize_rows(
     rows, against: np.ndarray | None = None, rtol: float | None = None
 ) -> np.ndarray:
-    """Modified Gram-Schmidt over row vectors, one re-orthogonalization pass.
+    """Block Gram-Schmidt over row vectors, every projection applied twice.
 
-    Rows numerically dependent on earlier rows (or on ``against``, an
-    orthonormal row block that is fixed but not returned) are dropped when
-    their residual falls below ``rtol`` times their original norm.
+    The whole block is first projected off ``against`` (an orthonormal row
+    block that is fixed but not returned) by two matmul passes. Then, in
+    input order, the first remaining row is normalized and kept, and every
+    later row is projected off it twice ("twice is enough": Giraud, Langou
+    and Rozloznik, 2005). Rows whose residual falls to ``rtol`` times the
+    largest input norm or below are dropped.
     """
     rtol = DEFAULT_RTOL if rtol is None else rtol
-    rows = [np.asarray(r, dtype=complex).ravel() for r in rows]
-    fixed = 0 if against is None else against.shape[0]
-    ortho: list[np.ndarray] = [] if against is None else list(against)
+    rows = list(rows)
+    width = np.size(rows[0]) if rows else (0 if against is None else against.shape[1])
+    W = np.array(rows, dtype=complex).reshape(len(rows), width)
     # relative cut against the largest candidate, so roundoff-sized rows
     # never masquerade as new directions
-    scale = max((np.linalg.norm(v) for v in rows), default=0.0)
-    cut = rtol * scale
-    for v in rows:
-        if np.linalg.norm(v) <= cut:
-            continue
-        w = v.copy()
+    cut = rtol * np.linalg.norm(W, axis=1).max(initial=0.0)
+    if against is not None:
         for _ in range(2):
-            for q in ortho:
-                w = w - np.vdot(q, w) * q
-        nrm = np.linalg.norm(w)
-        if nrm > cut:
-            ortho.append(w / nrm)
-    kept = ortho[fixed:]
-    width = rows[0].size if rows else (against.shape[1] if against is not None else 0)
-    if not kept:
-        return np.zeros((0, width), dtype=complex)
-    return np.array(kept)
+            W -= (W @ against.conj().T) @ against
+    W = W[np.linalg.norm(W, axis=1) > cut]
+    kept = []
+    while W.shape[0]:
+        q = W[0] / np.linalg.norm(W[0])
+        kept.append(q)
+        W = W[1:]
+        for _ in range(2):
+            W -= np.outer(W @ q.conj(), q)
+        W = W[np.linalg.norm(W, axis=1) > cut]
+    return np.array(kept, dtype=complex).reshape(len(kept), width)
 
 
 def hermitian_span_basis(mats: np.ndarray, rtol: float | None = None) -> np.ndarray:

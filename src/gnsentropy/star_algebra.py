@@ -204,10 +204,14 @@ def span_closure(
 ) -> OperatorSpan:
     """Smallest *-closed (optionally unital) span containing the generators.
 
-    The basis lists the orthonormalized generators first, in input order,
-    followed by their adjoints, the identity when requested, and then new
-    directions from products in a deterministic enumeration order, so the
-    result is reproducible for a fixed input order.
+    The seeds (the generators in input order, their adjoints, and the
+    identity when requested) are orthonormalized into a basis S0 and
+    listed first. The span is the algebra they generate: every word in S0
+    is a shorter word times one element of S0. So each round multiplies
+    only the previous round's new directions by S0 on the right, in
+    (new direction, seed) order, and appends what is new; a round that adds
+    nothing ends the closure. The result is reproducible for a fixed input
+    order.
 
     Raises
     ------
@@ -234,14 +238,14 @@ def span_closure(
     seeds = [m.ravel() for m in mats] + [dagger(m).ravel() for m in mats]
     if include_unit:
         seeds.append(np.eye(D, dtype=complex).ravel())
-    basis = orthonormalize_rows(seeds, rtol=rtol)
+    basis = new = orthonormalize_rows(seeds, rtol=rtol)
     if basis.shape[0] == 0:
         raise ValueError("empty span: no generators and include_unit=False")
+    S0 = basis.reshape(-1, D, D)
 
     max_rounds = D * D if max_rounds is None else max_rounds
     for _ in range(max_rounds):
-        B = basis.reshape(-1, D, D)
-        prods = np.einsum("aij,bjk->abik", B, B).reshape(-1, D * D)
+        prods = np.matmul(new.reshape(-1, 1, D, D), S0).reshape(-1, D * D)
         new = orthonormalize_rows(prods, against=basis, rtol=rtol)
         if new.shape[0] == 0:
             span = OperatorSpan(basis.reshape(-1, D, D), rtol=rtol)

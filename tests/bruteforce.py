@@ -9,12 +9,16 @@ weight lists.
 import numpy as np
 
 
-def _rank(A, rtol=1e-10):
-    s = np.linalg.svd(A, compute_uv=False)
+def _rank_of(s, rtol):
+    """Count of singular values (descending) above the cut."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     # absolute floor keeps roundoff-scale matrices from faking full rank
     return int(np.count_nonzero(s > max(rtol * s[0], 1e-13)))
+
+
+def _rank(A, rtol=1e-10):
+    return _rank_of(np.linalg.svd(A, compute_uv=False), rtol)
 
 
 def commutant_dim(mats, rtol=1e-10):
@@ -170,3 +174,30 @@ def random_block_span(rng, D, max_rank=None):
                 basis.append(frame @ mat @ frame.conj().T)
         offset += n * m
     return np.array(basis), blocks
+
+
+def _row_range(rows, rtol=1e-10):
+    """Orthonormal rows spanning the row space of a stack, from one SVD."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[: _rank_of(s, rtol)]
+
+
+def naive_closure(generators, include_unit=True, rtol=1e-10):
+    """Basis of the *-algebra generated by the matrices, by brute force.
+
+    Starts from the generators, their adjoints and optionally the identity;
+    each round stacks the current basis with all pairwise products of its
+    elements and cuts the stack to its row space by one SVD, until the
+    dimension stops growing.
+    """
+    gens = [np.asarray(g, dtype=complex) for g in generators]
+    D = gens[0].shape[0]
+    mats = gens + [g.conj().T for g in gens] + ([np.eye(D)] if include_unit else [])
+    basis = _row_range(np.array(mats).reshape(len(mats), D * D), rtol)
+    while True:
+        B = basis.reshape(-1, D, D)
+        prods = (B[:, None] @ B[None]).reshape(-1, D * D)
+        grown = _row_range(np.vstack([basis, prods]), rtol)
+        if grown.shape[0] == basis.shape[0]:
+            return grown.reshape(-1, D, D)
+        basis = grown

@@ -272,7 +272,8 @@ def test_one_sided_functional_equals_reduced_state_moments(seed):
         assert abs(lhs - rhs) < 1e-12
 
 
-TENSOR_FACTORS = [(2, 3), (3, 2), (2, 7), (3, 4), (4, 3), (2, 12), (3, 6), (4, 5), (4, 4), (4, 6), (3, 8)]
+TENSOR_FACTORS = [(2, 3), (3, 2), (2, 7), (3, 4), (4, 3), (2, 12), (3, 6), (4, 5), (4, 4), (4, 6), (3, 8),
+                  (5, 5), (5, 7), (6, 6), (6, 4)]
 
 
 @pytest.mark.parametrize("case", range(len(TENSOR_FACTORS)))

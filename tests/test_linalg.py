@@ -1,0 +1,62 @@
+import numpy as np
+
+from gnsentropy.linalg import orthonormalize_rows
+
+
+def cgauss(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_rows_are_orthonormal():
+    rows = cgauss(np.random.default_rng(1), 20, 30)
+    out = orthonormalize_rows(rows)
+    assert out.shape == (20, 30)
+    assert np.abs(out @ out.conj().T - np.eye(20)).max() < 1e-14
+
+
+def test_rows_keep_input_order():
+    # row j of the output lies in the span of the first j+1 inputs and is
+    # orthogonal to the first j of them
+    rows = cgauss(np.random.default_rng(2), 6, 10)
+    out = orthonormalize_rows(rows)
+    overlaps = rows @ out.conj().T
+    assert np.abs(np.triu(overlaps, k=1)).max() < 1e-14
+    assert np.abs(overlaps @ out - rows).max() < 1e-13
+
+
+def test_first_nonzero_row_comes_first_normalized():
+    rng = np.random.default_rng(3)
+    v, w = cgauss(rng, 2, 5)
+    out = orthonormalize_rows([np.zeros(5), v, w])
+    assert out.shape == (2, 5)
+    assert np.allclose(out[0], v / np.linalg.norm(v), rtol=0.0, atol=1e-15)
+
+
+def test_dependent_rows_are_dropped():
+    a, b, c = cgauss(np.random.default_rng(4), 3, 8)
+    out = orthonormalize_rows([a, b, a - 2j * b, 3 * a, c, b + c])
+    assert out.shape == (3, 8)
+    want = orthonormalize_rows([a, b, c])
+    assert np.abs(out @ out.conj().T - np.eye(3)).max() < 1e-14
+    assert np.abs(out - want).max() < 1e-13
+
+
+def test_rows_spanned_by_against_are_dropped():
+    rng = np.random.default_rng(5)
+    fixed = orthonormalize_rows(cgauss(rng, 3, 9))
+    x = cgauss(rng, 9)
+    inside = [2 * fixed[0] - 1j * fixed[2], fixed[1]]
+    out = orthonormalize_rows(inside + [x, x + fixed[0]], against=fixed)
+    assert out.shape == (1, 9)
+    assert np.abs(out @ fixed.conj().T).max() < 1e-14
+    assert abs(np.linalg.norm(out[0]) - 1.0) < 1e-14
+    # the kept row is x's component orthogonal to the fixed block
+    resid = x - (fixed.conj() @ x) @ fixed
+    assert abs(abs(np.vdot(out[0], resid)) - np.linalg.norm(resid)) < 1e-12
+
+
+def test_empty_and_zero_input():
+    assert orthonormalize_rows([]).shape == (0, 0)
+    fixed = np.eye(4, dtype=complex)[:2]
+    assert orthonormalize_rows([], against=fixed).shape == (0, 4)
+    assert orthonormalize_rows(np.zeros((3, 4))).shape == (0, 4)

@@ -11,6 +11,7 @@ from gnsentropy import (
     span_closure,
     wedderburn,
 )
+from gnsentropy.fock import EX5_BLOCKS, PAULI
 
 import bruteforce as bf
 
@@ -80,6 +81,49 @@ def test_closure_invariants_for_random_generators(seed):
 def test_single_projection_with_unit():
     span = span_closure([unit(2, 0, 0)], include_unit=True)
     assert span.dim == 2
+
+
+def assert_same_span(got, want):
+    assert len(got) == len(want)
+    gap = np.abs(bf.span_projector(got) - bf.span_projector(want)).max()
+    assert gap <= 1e-10
+
+
+PRESET_GENERATORS = {
+    "ex2_bell": lambda: [np.kron(s, np.eye(2)) for s in PAULI],
+    "ex3_choice2": lambda: [unit(3, i, j) for i in range(2) for j in range(2)],
+    "ex4_left": bf.left_location_generators,
+    "ex5_bosons": lambda: [unit(6, u, v) for b in EX5_BLOCKS for u in b for v in b],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_GENERATORS))
+def test_closure_matches_naive_closure_on_presets(name, presets):
+    gens = PRESET_GENERATORS[name]()
+    want = bf.naive_closure(gens)
+    assert_same_span(span_closure(gens, include_unit=True).basis, want)
+    assert_same_span(presets[name][0].basis, want)
+
+
+@pytest.mark.parametrize("k, m", [(2, 3), (3, 5), (4, 6), (5, 5), (6, 6)])
+def test_closure_matches_naive_closure_on_tensor_factors(k, m):
+    gen, _, _ = bf.random_tensor_factor(np.random.default_rng(660 + k * m), k, m)
+    span = span_closure([gen], include_unit=True)
+    assert span.dim == k * k
+    assert_same_span(span.basis, bf.naive_closure([gen]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closure_matches_naive_closure_on_planted_blocks(seed):
+    rng = np.random.default_rng(400 + seed)
+    D = int(rng.integers(3, 13))
+    basis, _ = bf.random_block_span(rng, D, max_rank=4)
+    n = len(basis)
+    gens = [np.tensordot(rng.standard_normal(n) + 1j * rng.standard_normal(n), basis, axes=(0, 0))
+            for _ in range(2)]
+    span = span_closure(gens, include_unit=True)
+    assert_same_span(span.basis, bf.naive_closure(gens))
+    assert_same_span(span.basis, basis)
 
 
 # ---------------------------------------------------------------------------
