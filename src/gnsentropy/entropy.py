@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DecompositionError, OracleMismatchError, StateError
 from .gns import AlgebraState, GnsSpace, IsotypicDecomposition, build_gns, gns_density, isotypic_decompose
-from .linalg import DEFAULT_RTOL, ORACLE_TOL, dagger, hermitize, hs_norm, range_basis
+from .linalg import DEFAULT_RTOL, ORACLE_TOL, PSD_TOL, RESULT_TOL, dagger, hermitize, hs_norm, range_basis
 from .star_algebra import OperatorSpan, WedderburnData, wedderburn
 
 LN2 = float(np.log(2.0))
@@ -45,7 +45,7 @@ class SpectralState:
         object.__setattr__(self, "weights", w)
         if w.size and w.min() <= 0.0:
             raise ValueError(f"spectral weights must be positive, got min {w.min()!r}")
-        if abs(w.sum() - 1.0) > 1e-8:
+        if abs(w.sum() - 1.0) > RESULT_TOL:
             raise ValueError(f"spectral weights sum to {w.sum()!r}, not 1")
         if self.log_base not in ("e", "2"):
             raise ValueError(f"log_base must be 'e' or '2', got {self.log_base!r}")
@@ -151,7 +151,7 @@ def density_element(
         ) from exc
     D_mat = np.tensordot(coeffs, B, axes=(0, 0))
     scale = max(hs_norm(D_mat), 1.0)
-    if hs_norm(D_mat - dagger(D_mat)) > 1e-8 * scale:
+    if hs_norm(D_mat - dagger(D_mat)) > RESULT_TOL * scale:
         raise StateError("density element came out non-Hermitian; state is not real-valued on the span")
     D_mat = hermitize(D_mat)
 
@@ -166,13 +166,13 @@ def density_element(
             )
         groups = vals.reshape(n_k, m_k)
         spread = float((groups.max(axis=1) - groups.min(axis=1)).max()) if m_k > 1 else 0.0
-        if spread > 1e-8 * max(1.0, float(np.abs(vals).max())):
+        if spread > RESULT_TOL * max(1.0, float(np.abs(vals).max())):
             raise DecompositionError(
                 f"block eigenvalues do not come in multiplicity-{m_k} groups "
                 f"(spread {spread:.3e})"
             )
         block_vals = groups.mean(axis=1)
-        if block_vals.size and float(block_vals.min()) < -1e-9:
+        if block_vals.size and float(block_vals.min()) < -PSD_TOL:
             raise StateError(
                 f"restricted state has negative block eigenvalue {block_vals.min()!r}"
             )

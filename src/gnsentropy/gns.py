@@ -18,11 +18,10 @@ itself, and its compressions to the quotient span the whole commutant
 the span). It is read off the same structure constants, Gram matrix and
 quotient basis as the representation itself, with no Kronecker solve and
 no data from the block route. Inside a component of multiplicity m the
-state weight spreads over m Schmidt directions; the canonical refined
-weights are the eigenvalues of the overlap matrix ``W[i,j] =
-<cyclic| E_ij |cyclic>`` built from matrix units ``E_ij`` of the
-commutant block, which makes the weight multiset independent of how the
-component is carved into irreducible summands.
+state weight spreads over m Schmidt directions: the refined weights are
+the spectrum of the cyclic vector's state on the commutant corner, read
+off the projection of its rank-one projector onto that corner, with no
+choice of irreducible summands and no random draws.
 """
 
 from __future__ import annotations
@@ -37,16 +36,17 @@ from .linalg import (
     CLOSURE_SLACK,
     CLUSTER_TOL,
     DEFAULT_RTOL,
+    INPUT_TOL,
+    PSD_TOL,
+    RESULT_TOL,
     dagger,
-    eig_clusters,
     eigh_null_split,
-    hermitian_span_basis,
     hermitize,
     hs_norm,
     orthonormalize_rows,
     range_basis,
 )
-from .star_algebra import MAX_DRAWS, OperatorSpan, center, minimal_projections
+from .star_algebra import OperatorSpan, center, minimal_projections
 
 
 class AlgebraState:
@@ -70,7 +70,7 @@ class AlgebraState:
             nrm = np.linalg.norm(psi)
             if nrm == 0.0:
                 raise StateError("state vector is zero")
-            if abs(nrm - 1.0) > 1e-9 and not normalize:
+            if abs(nrm - 1.0) > INPUT_TOL and not normalize:
                 raise StateError(f"state vector has norm {nrm!r}, not 1")
             self.vector = psi / nrm
             self.density = None
@@ -81,11 +81,11 @@ class AlgebraState:
             if not np.isfinite(rho).all():
                 raise StateError("density matrix has non-finite entries")
             scale = max(hs_norm(rho), 1.0)
-            if hs_norm(rho - dagger(rho)) > 1e-9 * scale:
+            if hs_norm(rho - dagger(rho)) > INPUT_TOL * scale:
                 raise StateError("density matrix is not Hermitian")
             rho = hermitize(rho)
             tr = float(np.trace(rho).real)
-            if abs(tr - 1.0) > 1e-9 and not normalize:
+            if abs(tr - 1.0) > INPUT_TOL and not normalize:
                 raise StateError(f"density matrix has trace {tr!r}, not 1")
             if tr <= 0.0:
                 raise StateError("density matrix has non-positive trace")
@@ -114,7 +114,7 @@ class AlgebraState:
         if self.is_vector:
             return self.vector.reshape(-1, 1)
         vals, vecs, n_null = eigh_null_split(self.density, rtol=self.rtol)
-        floor = -1e-9 * max(float(vals[-1]), 0.0)
+        floor = -PSD_TOL * max(float(vals[-1]), 0.0)
         if float(vals[0]) < floor:
             raise StateError(f"density matrix has negative eigenvalue {vals[0]!r}")
         return vecs[:, n_null:] * np.sqrt(vals[n_null:])
@@ -163,7 +163,7 @@ def gram_matrix(algebra, state: AlgebraState, validate: bool = True) -> np.ndarr
 
 def _check_gram_psd(vals: np.ndarray) -> None:
     """Reject a Gram matrix whose ascending eigenvalues dip below roundoff."""
-    if float(vals[0]) < -1e-9 * max(float(vals[-1]), 1.0):
+    if float(vals[0]) < -PSD_TOL * max(float(vals[-1]), 1.0):
         raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
 
 
@@ -318,63 +318,30 @@ def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
 
 
 def _refined_weights(
-    P: np.ndarray,
-    corner: np.ndarray,
-    cyclic: np.ndarray,
-    n_k: int,
-    m_k: int,
-    rng: np.random.Generator,
-    rtol: float,
-    cluster_tol: float,
+    P: np.ndarray, corner: np.ndarray, cyclic: np.ndarray, n_k: int, m_k: int
 ) -> np.ndarray:
     """Schmidt weights of the cyclic vector inside one isotypic component.
 
-    Builds matrix units of the commutant corner: eigenprojections of a
-    random Hermitian corner element give the diagonal units; polar parts of
-    projected random elements give the partial isometries connecting them.
-    The eigenvalues of the resulting overlap matrix are the weights.
+    On the range of ``P`` the representation acts as ``M_n (x) 1_m`` and
+    the commutant corner as ``1_n (x) M_m``. The Hilbert-Schmidt projection
+    of ``|v><v|`` (``v = P cyclic``) onto the orthonormal corner basis is
+    the trace-preserving conditional expectation ``1_n (x) sigma / n``,
+    with ``sigma`` the state of ``v`` on the corner: its eigenvalues come
+    in m groups of n equal values, and n times each group value is a weight.
     """
+    v = P @ cyclic
+    # <c_b, |v><v|> = conj(<v| c_b |v>)
+    Y = np.tensordot(((corner @ v) @ v.conj()).conj(), corner, axes=(0, 0))
     V = range_basis(P)
-    herm = hermitian_span_basis(corner, rtol=rtol)
-
-    for _ in range(MAX_DRAWS):
-        h = np.tensordot(rng.standard_normal(len(herm)), herm, axes=(0, 0))
-        nrm = hs_norm(h)
-        if nrm == 0.0:
-            continue
-        h = h / nrm
-        hc = dagger(V) @ h @ V
-        vals, vecs = np.linalg.eigh(hermitize(hc))
-        clusters = eig_clusters(vals, cluster_tol)
-        if len(clusters) != m_k or any(
-            cl.stop - cl.start != n_k for cl in clusters
-        ):
-            continue
-        projs = []
-        for cl in clusters:
-            W = V @ vecs[:, cl]
-            projs.append(W @ dagger(W))
-        g_coeff = rng.standard_normal(len(corner)) + 1j * rng.standard_normal(len(corner))
-        g = np.tensordot(g_coeff, corner, axes=(0, 0))
-        vectors = [projs[0] @ cyclic]
-        ok = True
-        for Qi in projs[1:]:
-            X = Qi @ g @ projs[0]
-            U, s, Vh = np.linalg.svd(X)
-            if s[0] == 0.0 or np.count_nonzero(s > rtol * s[0]) != n_k:
-                ok = False
-                break
-            E = U[:, :n_k] @ Vh[:n_k, :]
-            vectors.append(dagger(E) @ cyclic)
-        if not ok:
-            continue
-        U_mat = np.array(vectors)
-        W = U_mat.conj() @ U_mat.T
-        weights = np.linalg.eigvalsh(hermitize(W))
-        return np.clip(weights[::-1], 0.0, None)
-    raise DecompositionError(
-        f"failed to split a multiplicity-{m_k} component in {MAX_DRAWS} draws"
-    )
+    vals = np.linalg.eigvalsh(hermitize(dagger(V) @ Y @ V))[::-1]
+    groups = vals.reshape(m_k, n_k)
+    spread = float((groups.max(axis=1) - groups.min(axis=1)).max())
+    if spread > RESULT_TOL * max(1.0, float(np.abs(vals).max())):
+        raise DecompositionError(
+            f"corner expectation eigenvalues do not come in {m_k} groups of "
+            f"{n_k} (spread {spread:.3e})"
+        )
+    return np.clip(n_k * groups.mean(axis=1), 0.0, None)
 
 
 def isotypic_decompose(
@@ -423,10 +390,8 @@ def isotypic_decompose(
         if m_k == 1:
             refined = np.array([w_k])
         else:
-            refined = _refined_weights(
-                P, corner, cyclic, n_k, m_k, rng, rtol, cluster_tol
-            )
-            if abs(refined.sum() - w_k) > 1e-8 * max(w_k, 1.0):
+            refined = _refined_weights(P, corner, cyclic, n_k, m_k)
+            if abs(refined.sum() - w_k) > RESULT_TOL * max(w_k, 1.0):
                 raise DecompositionError(
                     f"refined weights sum to {refined.sum()!r}, expected {w_k!r}"
                 )
@@ -441,7 +406,7 @@ def isotypic_decompose(
         )
     components.sort(key=lambda c: (-c.irrep_dim, -c.multiplicity, -c.weight))
     total = sum(c.weight for c in components)
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > RESULT_TOL:
         raise DecompositionError(f"component weights sum to {total!r}, not 1")
     return IsotypicDecomposition(
         components=tuple(components), commutant_dim=C.dim, seed=seed

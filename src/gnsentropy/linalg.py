@@ -23,6 +23,16 @@ CLUSTER_TOL = 1e-8
 #: Agreement tolerance between independently computed spectra.
 ORACLE_TOL = 1e-8
 
+#: Input state checks: norm or trace against 1, relative Hermitian defect.
+INPUT_TOL = 1e-9
+
+#: How far below zero a Gram, density or block eigenvalue may dip.
+PSD_TOL = 1e-9
+
+#: Checks on computed results: weight sums, the spread of eigenvalue groups
+#: that must be degenerate, the Hermitian defect of the density element.
+RESULT_TOL = 1e-8
+
 #: Absolute floor under the relative cut, so that identically-zero positive
 #: semidefinite matrices (scale ~ roundoff) classify as all-null.
 NULL_FLOOR = 1e-24

@@ -176,6 +176,27 @@ def random_block_span(rng, D, max_rank=None):
     return np.array(basis), blocks
 
 
+def planted_block_weights(basis, blocks, state):
+    """Spectrum of a state restricted to a planted block algebra.
+
+    ``basis`` and ``blocks`` come from :func:`random_block_span`; ``state``
+    is a unit vector or a density matrix on C^D. Block k owns n_k^2
+    consecutive basis elements, its matrix units tensored with 1_(m_k) and
+    scaled by 1/sqrt(m_k), so ``sqrt(m_k) omega(B_kij)`` is the transposed
+    reduced density of block k and its eigenvalues are the block's weights.
+    """
+    state = np.asarray(state, dtype=complex)
+    rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+    values = np.einsum("ij,aji->a", rho, np.asarray(basis, dtype=complex))
+    weights = []
+    offset = 0
+    for n, m in blocks:
+        W = np.sqrt(m) * values[offset:offset + n * n].reshape(n, n)
+        weights.append(np.linalg.eigvalsh(W))
+        offset += n * n
+    return np.sort(np.concatenate(weights))[::-1]
+
+
 def _row_range(rows, rtol=1e-10):
     """Orthonormal rows spanning the row space of a stack, from one SVD."""
     _, s, vh = np.linalg.svd(rows, full_matrices=False)

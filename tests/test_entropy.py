@@ -16,6 +16,7 @@ from gnsentropy import (
     wedderburn,
 )
 from gnsentropy.entropy import LN2
+from gnsentropy.errors import DecompositionError
 
 import bruteforce as bf
 
@@ -298,6 +299,54 @@ def test_both_routes_on_faithful_full_matrix_algebras(D):
     assert rep.methods_agree
     assert spectra_agree(rep.spectrum, np.linalg.eigvalsh(rho), tol=1e-8)
     assert (rep.gns_dim, rep.null_dim, rep.commutant_dim) == (D * D, 0, D * D)
+
+
+PLANTED_BLOCKS = [(D, rank) for D in (6, 8, 12, 16, 24) for rank in (1, 2, D)]
+
+
+@pytest.mark.parametrize("case", range(len(PLANTED_BLOCKS)))
+def test_both_routes_on_planted_block_algebras(case):
+    # rank 1 is a pure vector state, rank D a faithful density
+    D, rank = PLANTED_BLOCKS[case]
+    for s in range(8):
+        rng = np.random.default_rng(700 + 8 * case + s)
+        basis, blocks = bf.random_block_span(rng, D, max_rank=4)
+        X = rng.standard_normal((D, rank)) + 1j * rng.standard_normal((D, rank))
+        if rank == 1:
+            state = X[:, 0] / np.linalg.norm(X)
+            algebra_state = AlgebraState(vector=state)
+        else:
+            state = X @ X.conj().T / np.linalg.norm(X) ** 2
+            algebra_state = AlgebraState(density=state)
+        rep = restriction_entropy(OperatorSpan(basis), algebra_state, method="both", seed=s)
+        assert rep.methods_agree
+        want = bf.planted_block_weights(basis, blocks, state)
+        assert spectra_agree(rep.spectrum, want, tol=1e-10), (blocks, s)
+
+
+#: sin^2(theta) log-spaced over [1.6e-10, 0.1]. The GNS route still raises
+#: DecompositionError at five of these points (ROADMAP item 7): "no random
+#: central element separated 1 blocks" at index 0 and "commutant corner
+#: dimension 3 is not a perfect square" at 9, 10, 12 and 14.
+EX4_SMALL_ANGLES = np.logspace(np.log10(1.6e-10), -1.0, 40)
+EX4_STILL_FAILING = (0, 9, 10, 12, 14)
+
+
+@pytest.mark.parametrize("index", [
+    pytest.param(i, marks=pytest.mark.xfail(
+        raises=DecompositionError, strict=True,
+        reason="GNS route breaks down at small ex4_left angles (ROADMAP item 7)"))
+    if i in EX4_STILL_FAILING else i
+    for i in range(len(EX4_SMALL_ANGLES))
+])
+def test_left_location_small_angles_match_binary_entropy(presets, preset_blocks, index):
+    span, family = presets["ex4_left"]
+    sin2 = float(EX4_SMALL_ANGLES[index])
+    theta = float(np.arcsin(np.sqrt(sin2)))
+    rep = restriction_entropy(span, family.state(theta=theta), method="both",
+                              blocks=preset_blocks["ex4_left"])
+    assert rep.methods_agree
+    assert abs(rep.entropy_nats - bf.entropy_of(bf.binary_weights(theta))) < 1e-12
 
 
 def test_spectra_agreement_helper():
