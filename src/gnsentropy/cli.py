@@ -452,7 +452,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--method", choices=METHODS, default=None,
                         help="computation route (default: both)")
         sp.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized decomposition steps")
+                        help="recorded in run JSON; no step is random, so it has no effect")
         sp.add_argument("--tol", type=float, default=None,
                         help="relative rank/null tolerance override")
         if log_base:

@@ -239,6 +239,8 @@ def restriction_entropy(
     blocks : WedderburnData, optional
         Precomputed block decomposition of ``span`` (it does not depend on
         the state, so sweeps should share one).
+    seed : int
+        Recorded on the report; no step is random, so it has no effect.
     """
     if method not in ("gns", "wedderburn", "both"):
         raise ValueError(f"unknown method {method!r}")

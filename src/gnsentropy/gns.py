@@ -37,14 +37,15 @@ from .linalg import (
     CLUSTER_TOL,
     DEFAULT_RTOL,
     INPUT_TOL,
+    NULL_FLOOR,
     PSD_TOL,
     RESULT_TOL,
     dagger,
     eigh_null_split,
     hermitize,
     hs_norm,
-    orthonormalize_rows,
     range_basis,
+    right_singular,
 )
 from .star_algebra import OperatorSpan, center, minimal_projections
 
@@ -209,19 +210,23 @@ class GnsSpace:
 def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None) -> GnsSpace:
     """Run the GNS construction for a state restricted to a unital span.
 
-    The null space is spanned by Gram eigenvectors at or below the relative
-    cut; the remaining eigenvectors, scaled by inverse root eigenvalue,
-    form an orthonormal quotient basis. Representation matrices come from
-    the span's structure constants compressed to the quotient.
+    The Gram matrix is ``M^dag M`` for the stack ``M`` of columns
+    ``vec(B_a L)`` (``L`` the state's factor). Right singular vectors of
+    ``M`` with squared singular value at or below the relative cut span the
+    null space, to about eps / s rather than an eigensolve's eps / s^2; the
+    rest, scaled by 1 / s, form an orthonormal quotient basis. Representation
+    matrices are the span's structure constants compressed to the quotient.
     """
     rtol = span.rtol if rtol is None else rtol
     if not span.has_unit:
         raise ValueError("GNS construction requires a unital span")
-    G = gram_matrix(span, state, validate=False)
-    vals, vecs, n_null = eigh_null_split(G, rtol=rtol)
-    _check_gram_psd(vals)
-    null_coords = vecs[:, :n_null]
-    Q = vecs[:, n_null:] / np.sqrt(vals[n_null:])
+    G = gram_matrix(span, state)
+    s, vh = right_singular((span.basis @ state.factor).reshape(span.dim, -1).T)
+    n_keep = int(np.count_nonzero(s**2 > max(rtol * s[0] ** 2, NULL_FLOOR)))
+    null_coords = vh[n_keep:].conj().T
+    # ascending in s, as an eigensolve of G orders them: descending order
+    # costs the commutant's SVDs up to 4e-14 on ex4_left's smallest weights
+    Q = (vh[:n_keep].conj().T / s[:n_keep])[:, ::-1]
 
     coeff, resid = span.structure_constants()
     if resid > CLOSURE_SLACK * rtol:
@@ -284,10 +289,11 @@ class IsotypicDecomposition:
 
 
 def _corner_span(P: np.ndarray, span: OperatorSpan, rtol: float) -> np.ndarray:
-    """Orthonormal basis of ``P span P`` as a matrix stack."""
-    corner = P @ span.basis @ P
-    rows = orthonormalize_rows(corner.reshape(corner.shape[0], -1), rtol=rtol)
-    return rows.reshape(-1, P.shape[0], P.shape[0])
+    """Orthonormal basis of ``P span P`` as a matrix stack, cut by one SVD
+    (a row-by-row Gram-Schmidt cut can keep roundoff leaked from elsewhere)."""
+    corner = (P @ span.basis @ P).reshape(span.dim, -1)
+    _, s, vh = np.linalg.svd(corner, full_matrices=False)
+    return vh[: np.count_nonzero(s > rtol * s[0])].reshape(-1, P.shape[0], P.shape[0])
 
 
 def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
@@ -309,7 +315,7 @@ def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
     # the condition alone: where every gamma is allowed the condition is
     # pure roundoff, and a cut relative to it would reject them all.
     scale = np.linalg.norm(right.reshape(n, -1).T, 2)
-    _, s, vh = np.linalg.svd(cond, full_matrices=True)
+    s, vh = right_singular(cond)
     allowed = vh[np.count_nonzero(s > rtol * scale):].conj()
     images = np.tensordot(allowed, right @ Q, axes=(1, 0))
     _, s, vh = np.linalg.svd(images.reshape(-1, r * r), full_matrices=False)
@@ -360,7 +366,8 @@ def isotypic_decompose(
     quotient, rather than solved for from the representation matrices;
     :func:`gnsentropy.star_algebra.commutant` gives the same span and
     serves as its test oracle. Components come back sorted by descending
-    irrep dimension, then multiplicity.
+    irrep dimension, then multiplicity. No step is random: ``seed`` is
+    accepted for compatibility, recorded on the result and has no effect.
     """
     rtol = space.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
@@ -368,11 +375,9 @@ def isotypic_decompose(
         raise ValueError("GNS space is zero-dimensional")
     C = _quotient_commutant(space, rtol)
     Z = center(C, rtol=rtol)
-    rng = np.random.default_rng(seed)
-    projs = minimal_projections(Z, rng, cluster_tol=cluster_tol)
     cyclic = space.cyclic_vector
     components = []
-    for P, lam in projs:
+    for P in minimal_projections(Z, cluster_tol=cluster_tol):
         t = int(round(float(np.trace(P).real)))
         corner = _corner_span(P, C, rtol)
         m_sq = corner.shape[0]

@@ -159,6 +159,18 @@ def matrix_rank(A: np.ndarray, rtol: float | None = None) -> int:
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
+def right_singular(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and all right singular vectors (rows of ``vh``) of A.
+
+    A tall A is first reduced to its triangular QR factor, so no rows x rows
+    left factor is ever formed. The values are descending and zero-padded
+    to the column count; ``vh`` is square.
+    """
+    R = np.linalg.qr(A, mode="r") if A.shape[0] > A.shape[1] else A
+    _, s, vh = np.linalg.svd(R, full_matrices=True)
+    return np.pad(s, (0, A.shape[1] - s.size)), vh
+
+
 def eig_clusters(vals: np.ndarray, tol: float) -> list[slice]:
     """Group ascending real values into clusters separated by gaps > tol."""
     slices = []

@@ -4,17 +4,17 @@ An :class:`OperatorSpan` stores an orthonormal basis (under the
 Hilbert-Schmidt pairing) of a subspace of D x D matrices. The operations
 here close spans under products and adjoints, compute centers and
 commutants as null spaces of commutator maps, and split a unital *-closed
-span into its irreducible matrix blocks by eigendecomposing a seeded
-random Hermitian element of the center.
+span into its irreducible matrix blocks by jointly refining the
+eigenspaces of a Hermitian basis of the center.
 
-Every function is pure and deterministic: randomized steps draw from a
-``numpy`` generator created from an explicit seed, and basis ordering is
-fixed by input order plus a deterministic enumeration of products.
+Every function is pure and deterministic and makes no random draws; basis
+ordering is fixed by input order plus a deterministic enumeration of
+products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +32,6 @@ from .linalg import (
     matrix_rank,
     orthonormalize_rows,
 )
-
-#: Retry budget for random draws whose eigenvalues must separate.
-MAX_DRAWS = 64
 
 #: Absolute tolerance when a computed block rank or multiplicity must
 #: round to an integer.
@@ -181,7 +178,6 @@ class WedderburnData:
     block_ranks: tuple[int, ...]
     multiplicities: tuple[int, ...]
     center_dim: int
-    eigenvalues: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def n_blocks(self) -> int:
@@ -328,40 +324,39 @@ def _check_int(value: float, what: str) -> int:
 
 
 def minimal_projections(
-    commutative: OperatorSpan,
-    rng: np.random.Generator,
-    cluster_tol: float | None = None,
-    max_draws: int = MAX_DRAWS,
-) -> list[tuple[np.ndarray, float]]:
+    commutative: OperatorSpan, cluster_tol: float | None = None
+) -> list[np.ndarray]:
     """Minimal projections of a commutative unital *-closed span.
 
-    Draws a random real combination of a Hermitian basis, normalizes it to
-    unit HS norm, and groups its eigenvalues; a draw is accepted once the
-    number of clusters equals the span dimension. Returns ``(projection,
-    cluster eigenvalue)`` pairs.
+    Joint refinement (Maehara and Murota, SIAM J. Matrix Anal. Appl. 32,
+    2011): from the identity, each Hermitian basis element in turn is
+    compressed to every current range and splits it at its eigenvalue
+    clusters, until there are as many ranges as the span dimension. The
+    span is commutative, so each compression is exact; a dim-1 span returns
+    the identity untouched. Two minimal projections differ by at least
+    sqrt(2)/D in some basis coordinate, so for D up to about 1e4 the basis
+    separates them at the default ``cluster_tol``.
     """
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
-    herm = commutative.hermitian_basis()
     want = commutative.dim
-    for _ in range(max_draws):
-        coeffs = rng.standard_normal(len(herm))
-        H = np.tensordot(coeffs, herm, axes=(0, 0))
-        nrm = hs_norm(H)
-        if nrm == 0.0:
-            continue
-        H = H / nrm
-        vals, vecs = np.linalg.eigh(H)
-        clusters = eig_clusters(vals, cluster_tol)
-        if len(clusters) != want:
-            continue
-        out = []
-        for cl in clusters:
-            V = vecs[:, cl]
-            out.append((V @ dagger(V), float(vals[cl].mean())))
-        return out
-    raise DecompositionError(
-        f"no random central element separated {want} blocks in {max_draws} draws"
-    )
+    ranges = [np.eye(commutative.ambient_dim, dtype=complex)]
+    gap = np.inf
+    for h in commutative.hermitian_basis():
+        if len(ranges) >= want:
+            break
+        refined = []
+        for V in ranges:
+            vals, vecs = np.linalg.eigh(dagger(V) @ h @ V)
+            steps = np.diff(vals)
+            gap = min(gap, steps[steps > cluster_tol].min(initial=np.inf))
+            refined += [V @ vecs[:, cl] for cl in eig_clusters(vals, cluster_tol)]
+        ranges = refined
+    if len(ranges) != want:
+        raise DecompositionError(
+            f"joint refinement found {len(ranges)} of {want} minimal projections "
+            f"(smallest separating gap {gap:.3e}, cluster_tol {cluster_tol:.1e})"
+        )
+    return [V @ dagger(V) for V in ranges]
 
 
 def wedderburn(
@@ -376,9 +371,8 @@ def wedderburn(
     applied to :func:`center`; each block rank is read off as the square
     root of the corner span dimension and the ambient multiplicity as
     ``trace(z_k) / n_k``, both checked to be integers. Blocks are sorted by
-    descending rank, then multiplicity, then cluster eigenvalue, so the
-    output is deterministic for a fixed seed and seed-independent as a
-    multiset.
+    descending rank, then multiplicity, then refinement order. ``seed`` is
+    accepted for compatibility and has no effect: no step is random.
     """
     rtol = span.rtol if rtol is None else rtol
     if not span.has_unit:
@@ -389,24 +383,22 @@ def wedderburn(
             f"wedderburn requires a *-closed span (adjoint residual {adj_resid:.3e})"
         )
     Z = center(span, rtol=rtol)
-    rng = np.random.default_rng(seed)
-    projs = minimal_projections(Z, rng, cluster_tol=cluster_tol)
+    projs = minimal_projections(Z, cluster_tol=cluster_tol)
     B = span.basis
     n_dim, D = span.dim, span.ambient_dim
     blocks = []
-    for z, lam in projs:
+    for z in projs:
         corner = (z @ B @ z).reshape(n_dim, D * D)
         block_dim = matrix_rank(corner, rtol=rtol)
         n_k = _check_int(np.sqrt(block_dim), "sqrt(block dimension)")
         m_k = _check_int(float(np.trace(z).real) / n_k, "block multiplicity")
-        blocks.append((n_k, m_k, lam, z))
-    blocks.sort(key=lambda b: (-b[0], -b[1], b[2]))
+        blocks.append((n_k, m_k, z))
+    blocks.sort(key=lambda b: (-b[0], -b[1]))
     data = WedderburnData(
-        projections=np.array([b[3] for b in blocks]),
+        projections=np.array([b[2] for b in blocks]),
         block_ranks=tuple(b[0] for b in blocks),
         multiplicities=tuple(b[1] for b in blocks),
         center_dim=Z.dim,
-        eigenvalues=tuple(b[2] for b in blocks),
     )
     if span.has_unit and sum(data.block_dims) != span.dim:
         raise DecompositionError(

@@ -210,6 +210,33 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_sweep_output_does_not_depend_on_seed(tmp_path, capsys):
+    spec = write_spec(tmp_path, "s.json", {
+        "algebra": {"preset": "ex4_left"},
+        "state": {"parameters": {}},
+    })
+    args = ("sweep", spec, "--param", "theta", "--from", "0", "--to", "1.5", "--steps", "200")
+    code0, out0, _ = run_cli(capsys, *args, "--seed", "0")
+    code3, out3, _ = run_cli(capsys, *args, "--seed", "3")
+    assert code0 == code3 == EXIT_OK
+    assert out0 == out3
+    grids = [run_cli(capsys, "grid", "--resolution", "5", "--seed", seed)[1] for seed in ("0", "3")]
+    assert grids[0] == grids[1]
+
+
+def test_small_angle_sweep_succeeds_on_both_routes(tmp_path, capsys):
+    # near-null Gram eigenvalues down to sin^2(1e-4) = 1e-8, and a pure
+    # state with a dim-1 commutant center at theta = 0
+    spec = write_spec(tmp_path, "s.json", {
+        "algebra": {"preset": "ex4_left"},
+        "state": {"parameters": {}},
+    })
+    code, out, _ = run_cli(capsys, "sweep", spec, "--param", "theta", "--from", "0",
+                           "--to", "0.001", "--steps", "11", "--method", "both")
+    assert code == EXIT_OK
+    assert len(out.strip().splitlines()) == 12
+
+
 def test_sweep_width_zero_gives_single_row(tmp_path, capsys):
     spec = write_spec(tmp_path, "s.json", {
         "algebra": {"preset": "ex3_choice2"},

@@ -16,7 +16,6 @@ from gnsentropy import (
     wedderburn,
 )
 from gnsentropy.entropy import LN2
-from gnsentropy.errors import DecompositionError
 
 import bruteforce as bf
 
@@ -324,21 +323,35 @@ def test_both_routes_on_planted_block_algebras(case):
         assert spectra_agree(rep.spectrum, want, tol=1e-10), (blocks, s)
 
 
-#: sin^2(theta) log-spaced over [1.6e-10, 0.1]. The GNS route still raises
-#: DecompositionError at five of these points (ROADMAP item 7): "no random
-#: central element separated 1 blocks" at index 0 and "commutant corner
-#: dimension 3 is not a perfect square" at 9, 10, 12 and 14.
+@pytest.mark.parametrize("method", ["gns", "wedderburn"])
+@pytest.mark.parametrize("decades", [4, 8, 12])
+def test_graded_spectrum_densities_on_planted_block_algebras(decades, method):
+    # Densities whose eigenvalues fall off over 4, 8 and 12 decades, each
+    # route run alone. At 12 decades the smallest density eigenvalue
+    # (about 1e-12) lies below the relative rank cut and is dropped from
+    # the state's factor, and Gram eigenvalues reach about 6e-8, so the
+    # commutant corner must be cut by singular value. That regime is in
+    # scope: the dropped weight is far below the 1e-10 bound, and every
+    # case must still match the planted weights.
+    for D in (6, 8, 12):
+        for s in range(20):
+            rng = np.random.default_rng(900 + 100 * decades + 10 * D + s)
+            basis, blocks = bf.random_block_span(rng, D, max_rank=4)
+            U = bf.random_frame(rng, D)
+            rho = U @ np.diag(np.logspace(0, -decades, D)) @ U.conj().T
+            rho /= np.trace(rho).real
+            rep = restriction_entropy(OperatorSpan(basis), AlgebraState(density=rho), method=method)
+            want = bf.planted_block_weights(basis, blocks, rho)
+            assert spectra_agree(rep.spectrum, want, tol=1e-10), (D, s, blocks)
+
+
+#: sin^2(theta) log-spaced over [1.6e-10, 0.1]: near-null Gram eigenvalues
+#: down to about 8e-11, where the GNS null split and the dim-1 commutant
+#: center must both hold up.
 EX4_SMALL_ANGLES = np.logspace(np.log10(1.6e-10), -1.0, 40)
-EX4_STILL_FAILING = (0, 9, 10, 12, 14)
 
 
-@pytest.mark.parametrize("index", [
-    pytest.param(i, marks=pytest.mark.xfail(
-        raises=DecompositionError, strict=True,
-        reason="GNS route breaks down at small ex4_left angles (ROADMAP item 7)"))
-    if i in EX4_STILL_FAILING else i
-    for i in range(len(EX4_SMALL_ANGLES))
-])
+@pytest.mark.parametrize("index", range(len(EX4_SMALL_ANGLES)))
 def test_left_location_small_angles_match_binary_entropy(presets, preset_blocks, index):
     span, family = presets["ex4_left"]
     sin2 = float(EX4_SMALL_ANGLES[index])
@@ -347,6 +360,15 @@ def test_left_location_small_angles_match_binary_entropy(presets, preset_blocks,
                               blocks=preset_blocks["ex4_left"])
     assert rep.methods_agree
     assert abs(rep.entropy_nats - bf.entropy_of(bf.binary_weights(theta))) < 1e-12
+
+
+@pytest.mark.parametrize("sin2", np.logspace(np.log10(1.6e-10), -8, 25))
+def test_left_location_smallest_weight_is_resolved_to_roundoff(presets, sin2):
+    span, family = presets["ex4_left"]
+    theta = float(np.arcsin(np.sqrt(sin2)))
+    rep = restriction_entropy(span, family.state(theta=theta), method="gns")
+    assert rep.spectrum.size == 2
+    assert abs(rep.spectrum.min() - np.sin(theta) ** 2) < 1e-14
 
 
 def test_spectra_agreement_helper():

@@ -276,6 +276,22 @@ def test_isotypic_is_deterministic_for_fixed_seed(presets):
     assert np.array_equal(a.flattened_weights(), b.flattened_weights())
 
 
+@pytest.mark.parametrize("name, params", [
+    ("ex4_left", {"theta": 0.5}), ("ex5_bosons", {"theta": 1.0, "phi": 0.8}),
+    ("ex1_m2", {"lambda": 0.3}),
+])
+def test_isotypic_components_do_not_depend_on_seed(presets, name, params):
+    span, family = presets[name]
+    space = build_gns(span, family.state(params))
+    a = isotypic_decompose(space, seed=0)
+    b = isotypic_decompose(space, seed=12345)
+    assert len(a.components) == len(b.components)
+    for ca, cb in zip(a.components, b.components):
+        assert np.array_equal(ca.projection, cb.projection)
+        assert (ca.irrep_dim, ca.multiplicity, ca.weight) == (cb.irrep_dim, cb.multiplicity, cb.weight)
+        assert np.array_equal(ca.refined_weights, cb.refined_weights)
+
+
 # ---------------------------------------------------------------------------
 # spectra
 

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from gnsentropy.linalg import orthonormalize_rows
+from gnsentropy.linalg import orthonormalize_rows, right_singular
 
 
 def cgauss(rng, *shape):
@@ -60,3 +61,17 @@ def test_empty_and_zero_input():
     fixed = np.eye(4, dtype=complex)[:2]
     assert orthonormalize_rows([], against=fixed).shape == (0, 4)
     assert orthonormalize_rows(np.zeros((3, 4))).shape == (0, 4)
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 5), (3, 7), (0, 4)])
+def test_right_singular_pads_values_and_keeps_every_right_vector(rows, cols):
+    A = cgauss(np.random.default_rng(4), rows, cols)
+    s, vh = right_singular(A)
+    assert s.shape == (cols,) and vh.shape == (cols, cols)
+    assert np.all(np.diff(s) <= 0) and np.all(s[min(rows, cols):] == 0)
+    assert np.abs(vh @ vh.conj().T - np.eye(cols)).max() < 1e-13
+    # A^dag A = W diag(s^2) W^dag with W = vh^dag
+    gram = A.conj().T @ A
+    assert np.abs(vh.conj().T @ np.diag(s**2) @ vh - gram).max() < 1e-12 * max(1.0, np.abs(gram).max())
+    want = np.linalg.svd(A, compute_uv=False)
+    assert np.allclose(s[: want.size], want, rtol=1e-12, atol=1e-12)

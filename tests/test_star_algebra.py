@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gnsentropy import (
+    PRESET_NAMES,
     AlgebraError,
     ClosureError,
     OperatorSpan,
@@ -12,6 +13,7 @@ from gnsentropy import (
     wedderburn,
 )
 from gnsentropy.fock import EX5_BLOCKS, PAULI
+from gnsentropy.star_algebra import minimal_projections
 
 import bruteforce as bf
 
@@ -306,6 +308,34 @@ def test_wedderburn_is_seed_independent_up_to_ordering(presets):
     assert key(a) == key(b)
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_wedderburn_projections_do_not_depend_on_seed(presets, name):
+    span, _ = presets[name]
+    a = wedderburn(span, seed=0)
+    for seed in (7, 12345):
+        b = wedderburn(span, seed=seed)
+        assert np.array_equal(a.projections, b.projections)
+        assert a.block_table() == b.block_table()
+
+
+def test_minimal_projection_of_scalars_is_the_identity():
+    span = span_closure([], include_unit=True, ambient_dim=4)
+    (P,) = minimal_projections(span)
+    assert np.array_equal(P, np.eye(4))
+
+
+def test_minimal_projections_of_a_diagonal_algebra_are_its_blocks():
+    diag = np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]).astype(complex)
+    span = span_closure([diag], include_unit=True)
+    assert span.dim == 3
+    projs = minimal_projections(span)
+    assert sorted(round(np.trace(P).real) for P in projs) == [1, 2, 3]
+    for P in projs:
+        assert np.abs(P @ P - P).max() < 1e-12
+        assert np.abs(P @ diag - diag @ P).max() < 1e-12
+    assert np.abs(sum(projs) - np.eye(6)).max() < 1e-12
+
+
 def test_wedderburn_requires_a_unit():
     span = OperatorSpan(np.array([unit(2, 0, 1)]))
     with pytest.raises(ValueError):
@@ -325,8 +355,9 @@ def test_closure_breakdown_raises():
 
 
 def test_block_separation_retries_exhaust_on_merged_clusters():
-    # a grouping tolerance wider than any eigenvalue spread makes every
-    # draw collapse to one cluster, so separation must give up cleanly
+    # a grouping tolerance wider than any eigenvalue spread keeps every
+    # Hermitian basis element in one cluster, so the joint refinement runs
+    # out of basis before separating the two blocks and must give up cleanly
     span = span_closure([np.diag([1.0, 2.0]).astype(complex)], include_unit=True)
     with pytest.raises(AlgebraError):
         wedderburn(span, seed=0, cluster_tol=10.0)
