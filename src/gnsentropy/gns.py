@@ -17,7 +17,9 @@ itself, and its compressions to the quotient span the whole commutant
 (all of the right-regular representation when the state is faithful on
 the span). It is read off the same structure constants, Gram matrix and
 quotient basis as the representation itself, with no Kronecker solve and
-no data from the block route. Inside a component of multiplicity m the
+no data from the block route. Its center is its intersection with the
+span of the representation (its own bicommutant), found from principal
+angles with no commutators. Inside a component of multiplicity m the
 state weight spreads over m Schmidt directions: the refined weights are
 the spectrum of the cyclic vector's state on the commutant corner, read
 off the projection of its rank-one projector onto that corner, with no
@@ -47,7 +49,7 @@ from .linalg import (
     range_basis,
     right_singular,
 )
-from .star_algebra import OperatorSpan, center, minimal_projections
+from .star_algebra import OperatorSpan, minimal_projections
 
 
 class AlgebraState:
@@ -149,6 +151,12 @@ class AlgebraState:
 
 def gram_matrix(algebra, state: AlgebraState, validate: bool = True) -> np.ndarray:
     """Gram matrix of a span's basis (or of an explicit matrix list) under a state."""
+    G = state.gram(_matrix_stack(algebra, state))
+    return _check_gram_psd(G) if validate and G.size else G
+
+
+def _matrix_stack(algebra, state: AlgebraState) -> np.ndarray:
+    """A span's basis or an explicit matrix list, checked against the state."""
     mats = algebra.basis if isinstance(algebra, OperatorSpan) else np.asarray(algebra, dtype=complex)
     if mats.ndim != 3:
         raise ValueError(f"expected a stack of matrices, got shape {mats.shape}")
@@ -156,16 +164,15 @@ def gram_matrix(algebra, state: AlgebraState, validate: bool = True) -> np.ndarr
         raise ValueError(
             f"algebra acts on dimension {mats.shape[1]}, state lives on {state.dim}"
         )
-    G = state.gram(mats)
-    if validate and G.size:
-        _check_gram_psd(np.linalg.eigvalsh(hermitize(G)))
-    return G
+    return mats
 
 
-def _check_gram_psd(vals: np.ndarray) -> None:
-    """Reject a Gram matrix whose ascending eigenvalues dip below roundoff."""
+def _check_gram_psd(G: np.ndarray) -> np.ndarray:
+    """Return a Gram matrix, rejecting it if its eigenvalues dip below roundoff."""
+    vals = np.linalg.eigvalsh(hermitize(G))
     if float(vals[0]) < -PSD_TOL * max(float(vals[-1]), 1.0):
         raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
+    return G
 
 
 @dataclass(frozen=True)
@@ -220,8 +227,9 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     rtol = span.rtol if rtol is None else rtol
     if not span.has_unit:
         raise ValueError("GNS construction requires a unital span")
-    G = gram_matrix(span, state)
-    s, vh = right_singular((span.basis @ state.factor).reshape(span.dim, -1).T)
+    V = (_matrix_stack(span, state) @ state.factor).reshape(span.dim, -1)
+    G = _check_gram_psd(V.conj() @ V.T)
+    s, vh = right_singular(V.T)
     n_keep = int(np.count_nonzero(s**2 > max(rtol * s[0] ** 2, NULL_FLOOR)))
     null_coords = vh[n_keep:].conj().T
     # ascending in s, as an eigensolve of G orders them: descending order
@@ -323,6 +331,24 @@ def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
     return OperatorSpan(basis, rtol=rtol)
 
 
+def _commutant_center(space: GnsSpace, C: OperatorSpan, rtol: float) -> OperatorSpan:
+    """Center of the commutant ``C``: its intersection with ``pi(A)``.
+
+    ``pi(A)`` is a unital *-algebra, hence its own bicommutant, so ``C``
+    meets ``C'`` exactly where it meets ``pi(A)``. Over orthonormal bases of
+    both (``pi(A)``'s cut by one SVD), the singular values of the overlap
+    are the cosines of the principal angles: exactly 1 on the center and 0
+    elsewhere, since the rest of ``C`` and of ``pi(A)`` are the traceless
+    parts ``1 (x) X`` and ``Y (x) 1`` of each component, which are
+    orthogonal. The cut sits at 1/2.
+    """
+    r = space.gns_dim
+    _, s, vh = np.linalg.svd(space.rep_matrices.reshape(-1, r * r), full_matrices=False)
+    Cb, Ab = C.basis.reshape(C.dim, r * r), vh[: np.count_nonzero(s > rtol * s[0])]
+    u, cosines, _ = np.linalg.svd(Cb.conj() @ Ab.T, full_matrices=False)
+    return OperatorSpan((u[:, cosines > 0.5].T @ Cb).reshape(-1, r, r), rtol=rtol)
+
+
 def _refined_weights(
     P: np.ndarray, corner: np.ndarray, cyclic: np.ndarray, n_k: int, m_k: int
 ) -> np.ndarray:
@@ -361,20 +387,20 @@ def isotypic_decompose(
     The component projections are the minimal projections of the center of
     the representation's commutant (equivalently, the minimal central
     projections of the algebra generated by the representation together
-    with its commutant). The commutant is taken as the right
-    multiplications that preserve the null ideal, compressed to the
-    quotient, rather than solved for from the representation matrices;
-    :func:`gnsentropy.star_algebra.commutant` gives the same span and
-    serves as its test oracle. Components come back sorted by descending
-    irrep dimension, then multiplicity. No step is random: ``seed`` is
-    accepted for compatibility, recorded on the result and has no effect.
+    with its commutant). The commutant is the right multiplications that
+    preserve the null ideal, compressed to the quotient, and its center is
+    its intersection with the representation's span; the generic
+    :func:`gnsentropy.star_algebra.commutant` and ``center`` are their test
+    oracles. Components come back sorted by descending irrep dimension,
+    then multiplicity. No step is random: ``seed`` is accepted for
+    compatibility, recorded on the result and has no effect.
     """
     rtol = space.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
     if space.gns_dim == 0:
         raise ValueError("GNS space is zero-dimensional")
     C = _quotient_commutant(space, rtol)
-    Z = center(C, rtol=rtol)
+    Z = _commutant_center(space, C, rtol)
     cyclic = space.cyclic_vector
     components = []
     for P in minimal_projections(Z, cluster_tol=cluster_tol):

@@ -51,11 +51,6 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + dagger(x))
 
 
-def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Hilbert-Schmidt pairing trace(x^dag y)."""
-    return complex(np.vdot(x, y))
-
-
 def hs_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
@@ -181,16 +176,3 @@ def eig_clusters(vals: np.ndarray, tol: float) -> list[slice]:
             start = i
     slices.append(slice(start, len(vals)))
     return slices
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary from the QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize(z)

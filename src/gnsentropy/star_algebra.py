@@ -1,11 +1,13 @@
 """Finite-dimensional *-algebras as concrete spans of complex matrices.
 
 An :class:`OperatorSpan` stores an orthonormal basis (under the
-Hilbert-Schmidt pairing) of a subspace of D x D matrices. The operations
-here close spans under products and adjoints, compute centers and
-commutants as null spaces of commutator maps, and split a unital *-closed
-span into its irreducible matrix blocks by jointly refining the
-eigenspaces of a Hermitian basis of the center.
+Hilbert-Schmidt pairing) of a subspace of D x D matrices, plus the seeds
+it was closed from when it came from :func:`span_closure`. The operations
+here close spans under products and adjoints, compute centers (commuting
+with the seeds, else with the basis) and commutants as null spaces of
+commutator maps, and split a unital *-closed span into its irreducible
+matrix blocks by jointly refining the eigenspaces of a Hermitian basis of
+the center.
 
 Every function is pure and deterministic and makes no random draws; basis
 ordering is fixed by input order plus a deterministic enumeration of
@@ -53,14 +55,21 @@ class OperatorSpan:
         re-checked; use :meth:`validate` in tests.
     rtol : float, optional
         Relative tolerance used by membership queries.
+    generators : ndarray, shape (s, D, D), optional
+        Elements generating the span as an algebra, trusted like the basis;
+        :func:`center` commutes with these instead of with the basis.
     """
 
-    def __init__(self, basis: np.ndarray, rtol: float | None = None):
+    def __init__(self, basis: np.ndarray, rtol: float | None = None,
+                 generators: np.ndarray | None = None):
         basis = np.array(basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise ValueError(f"basis must have shape (n, D, D), got {basis.shape}")
         self.basis = basis
         self.basis.setflags(write=False)
+        self.generators = None if generators is None else np.array(generators, dtype=complex)
+        if self.generators is not None:
+            self.generators.setflags(write=False)
         self.rtol = DEFAULT_RTOL if rtol is None else rtol
         eye = np.eye(self.ambient_dim)
         self.unit_coords = self.coords(eye)
@@ -113,17 +122,20 @@ class OperatorSpan:
 
         Returns ``(coeff, residual)`` where ``B_a B_b = sum_c coeff[a,b,c] B_c``
         up to ``residual``, the largest HS norm left unexpanded. A residual
-        above tolerance means the span is not multiplicatively closed.
+        above tolerance means the span is not multiplicatively closed. The
+        products are streamed one left factor at a time, one GEMM of ``B_a``
+        against ``[B_0|...|B_(n-1)]``, so memory peaks at n*D^2 + n^3.
         """
         if self._structure is None:
             B = self.basis
             n, D = self.dim, self.ambient_dim
-            prod = np.einsum("aij,bjk->abik", B, B)
-            flat = prod.reshape(n * n, D * D)
-            coeff = (flat @ B.conj().reshape(n, D * D).T).reshape(n, n, n)
-            recon = np.tensordot(coeff, B.reshape(n, D * D), axes=(2, 0))
-            diff = flat - recon.reshape(n * n, D * D)
-            resid = float(np.linalg.norm(diff, axis=1).max()) if n else 0.0
+            flat = B.reshape(n, D * D)
+            row, dual = B.transpose(1, 0, 2).reshape(D, n * D), flat.conj().T
+            coeff, resid = np.empty((n, n, n), dtype=complex), 0.0
+            for a in range(n):
+                prod = (B[a] @ row).reshape(D, n, D).transpose(1, 0, 2).reshape(n, D * D)
+                coeff[a] = prod @ dual
+                resid = max(resid, float(np.linalg.norm(prod - coeff[a] @ flat, axis=1).max()))
             self._structure = (coeff, resid)
         return self._structure
 
@@ -201,13 +213,13 @@ def span_closure(
     """Smallest *-closed (optionally unital) span containing the generators.
 
     The seeds (the generators in input order, their adjoints, and the
-    identity when requested) are orthonormalized into a basis S0 and
-    listed first. The span is the algebra they generate: every word in S0
-    is a shorter word times one element of S0. So each round multiplies
-    only the previous round's new directions by S0 on the right, in
-    (new direction, seed) order, and appends what is new; a round that adds
-    nothing ends the closure. The result is reproducible for a fixed input
-    order.
+    identity when requested) are orthonormalized into a basis S0, listed
+    first and kept as the span's ``generators``. The span is the algebra
+    they generate: every word in S0 is a shorter word times one element of
+    S0. So each round multiplies only the previous round's new directions
+    by S0 on the right, in (new direction, seed) order, and appends what is
+    new; a round that adds nothing ends the closure. The result is
+    reproducible for a fixed input order.
 
     Raises
     ------
@@ -244,7 +256,7 @@ def span_closure(
         prods = np.matmul(new.reshape(-1, 1, D, D), S0).reshape(-1, D * D)
         new = orthonormalize_rows(prods, against=basis, rtol=rtol)
         if new.shape[0] == 0:
-            span = OperatorSpan(basis.reshape(-1, D, D), rtol=rtol)
+            span = OperatorSpan(basis.reshape(-1, D, D), rtol=rtol, generators=S0)
             _, adj_resid = span.adjoint_coords()
             if adj_resid > CLOSURE_SLACK * rtol:
                 raise ClosureError(
@@ -259,25 +271,25 @@ def span_closure(
 
 def full_matrix_algebra(D: int, rtol: float | None = None) -> OperatorSpan:
     """The full algebra of D x D matrices, basis = matrix units in row order."""
-    basis = np.zeros((D * D, D, D), dtype=complex)
-    for i in range(D):
-        for j in range(D):
-            basis[i * D + j, i, j] = 1.0
-    return OperatorSpan(basis, rtol=rtol)
+    return OperatorSpan(np.eye(D * D, dtype=complex).reshape(D * D, D, D), rtol=rtol)
 
 
 def center(span: OperatorSpan, rtol: float | None = None) -> OperatorSpan:
     """Elements of the span commuting with the whole span.
 
-    Solved on coefficient space: the null space of the positive
-    semidefinite Gram matrix of the commutator map ``x -> [x, B_a]``.
+    An element commutes with the span once it commutes with a generating
+    set: ``span.generators`` when the span has them (the seeds of
+    :func:`span_closure`), else the basis. Solved on coefficient space: the
+    null space of the positive semidefinite Gram matrix of the commutator
+    map ``x -> [x, S]``, accumulated one generator S at a time.
     """
     rtol = span.rtol if rtol is None else rtol
     B = span.basis
     n, D = span.dim, span.ambient_dim
-    comm = np.matmul(B[:, None], B[None]) - np.matmul(B[None], B[:, None])
-    K = comm.reshape(n, n * D * D)
-    M = K.conj() @ K.T
+    M = np.zeros((n, n), dtype=complex)
+    for S in (B if span.generators is None else span.generators):
+        K = (B @ S - S @ B).reshape(n, D * D)
+        M += K.conj() @ K.T
     _, vecs, n_null = eigh_null_split(M, rtol=rtol)
     coeffs = vecs[:, :n_null].T
     mats = np.tensordot(coeffs, B, axes=(1, 0))

@@ -222,3 +222,48 @@ def naive_closure(generators, include_unit=True, rtol=1e-10):
         if grown.shape[0] == basis.shape[0]:
             return grown.reshape(-1, D, D)
         basis = grown
+
+
+def structure_constants(basis):
+    """``(coeff, residual)`` of a span basis from all n^2 products at once.
+
+    ``B_a B_b = sum_c coeff[a,b,c] B_c`` up to ``residual``, the largest HS
+    norm left unexpanded; the products are one einsum stack of n^2 D^2
+    entries, expanded against the conjugate basis by one matmul.
+    """
+    B = np.asarray(basis, dtype=complex)
+    n, D = B.shape[0], B.shape[1]
+    flat = np.einsum("aij,bjk->abik", B, B).reshape(n * n, D * D)
+    coeff = (flat @ B.conj().reshape(n, D * D).T).reshape(n, n, n)
+    recon = np.tensordot(coeff, B.reshape(n, D * D), axes=(2, 0)).reshape(n * n, D * D)
+    return coeff, float(np.linalg.norm(flat - recon, axis=1).max())
+
+
+def center_basis(basis, rtol=1e-10):
+    """Central elements of a span, from its commutators with every basis element.
+
+    The n^2 commutators form one stack; the null space of their Gram
+    matrix on coefficient space, cut at ``rtol`` times its largest
+    eigenvalue by ``eigh``, gives the center's basis.
+    """
+    B = np.asarray(basis, dtype=complex)
+    n, D = B.shape[0], B.shape[1]
+    K = (np.matmul(B[:, None], B[None]) - np.matmul(B[None], B[:, None])).reshape(n, n * D * D)
+    vals, vecs = np.linalg.eigh(K.conj() @ K.T)
+    null = vals <= max(rtol * vals[-1], 1e-24)
+    return np.tensordot(vecs[:, null].T, B, axes=(1, 0))
+
+
+def hecke_generators(N, q):
+    """Braid generators R_1 .. R_(N-1) of the Hecke algebra on (C^2)^(x)N.
+
+    R = q on |00> and |11> and [[0, 1], [1, q - 1/q]] on {|01>, |10>}, so
+    (R - q)(R + 1/q) = 0; R_i acts on sites i and i+1. For generic real q
+    they generate the sum over two-row partitions lambda of N of
+    M_(f_lambda) (x) 1_(lambda_1 - lambda_2 + 1) (Jimbo 1986).
+    """
+    R = np.zeros((4, 4), dtype=complex)
+    R[0, 0] = R[3, 3] = q
+    R[1, 2] = R[2, 1] = 1.0
+    R[2, 2] = q - 1.0 / q
+    return [np.kron(np.kron(np.eye(2 ** i), R), np.eye(2 ** (N - i - 2))) for i in range(N - 1)]

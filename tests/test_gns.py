@@ -3,8 +3,10 @@ import pytest
 
 from gnsentropy import (
     AlgebraState,
+    OperatorSpan,
     StateError,
     build_gns,
+    center,
     commutant,
     full_matrix_algebra,
     gns_density,
@@ -14,7 +16,7 @@ from gnsentropy import (
     span_closure,
 )
 from gnsentropy.fock import PAULI
-from gnsentropy.gns import _quotient_commutant
+from gnsentropy.gns import _commutant_center, _quotient_commutant
 
 import bruteforce as bf
 
@@ -395,6 +397,64 @@ def test_quotient_commutant_matches_oracle_on_tensor_frames(k, m, rng_seed):
     gen, psi, _ = bf.random_tensor_factor(np.random.default_rng(rng_seed), k, m)
     span = span_closure([gen], include_unit=True)
     assert_commutant_matches_oracle(build_gns(span, AlgebraState(vector=psi)))
+
+
+# ---------------------------------------------------------------------------
+# center of the commutant as C meet pi(A), against the commutator route
+
+
+def assert_gns_center_matches_oracle(space):
+    C = _quotient_commutant(space, space.rtol)
+    got = _commutant_center(space, C, space.rtol)
+    want = center(C)  # C comes from a bare basis: commutators with all of it
+    assert got.dim == want.dim
+    # for orthonormal bases of equal dimension the projector gap is the
+    # spectral norm of what the second projector leaves of the first basis
+    G, W = got.basis.reshape(got.dim, -1), want.basis.reshape(want.dim, -1)
+    assert np.linalg.norm(G - (G @ W.conj().T) @ W, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_GRIDS))
+def test_gns_center_matches_commutator_center_across_preset_families(presets, name):
+    span, family = presets[name]
+    for params in FAMILY_GRIDS[name]:
+        assert_gns_center_matches_oracle(build_gns(span, family.state(params)))
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 6])
+def test_gns_center_of_faithful_full_matrix_algebra_is_scalars(D):
+    rng = np.random.default_rng(750 + D)
+    X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    space = build_gns(full_matrix_algebra(D), AlgebraState(density=X @ X.conj().T, normalize=True))
+    assert_gns_center_matches_oracle(space)
+    C = _quotient_commutant(space, space.rtol)
+    assert _commutant_center(space, C, space.rtol).dim == 1
+
+
+@pytest.mark.parametrize("rank", [1, 2, "full"])
+def test_gns_center_matches_commutator_center_on_planted_blocks(rank):
+    for s in range(6):
+        rng = np.random.default_rng(760 + s)
+        D = int(rng.integers(4, 11))
+        basis, _ = bf.random_block_span(rng, D, max_rank=4)
+        k = D if rank == "full" else rank
+        X = rng.standard_normal((D, k)) + 1j * rng.standard_normal((D, k))
+        state = AlgebraState(vector=X[:, 0], normalize=True) if k == 1 else \
+            AlgebraState(density=X @ X.conj().T, normalize=True)
+        assert_gns_center_matches_oracle(build_gns(OperatorSpan(basis), state))
+
+
+@pytest.mark.parametrize("decades", [4, 8, 12])
+def test_gns_center_matches_commutator_center_on_graded_spectra(decades):
+    # the densities of test_entropy's graded-spectrum cases, first 4 seeds
+    for D in (6, 8, 12):
+        for s in range(4):
+            rng = np.random.default_rng(900 + 100 * decades + 10 * D + s)
+            basis, _ = bf.random_block_span(rng, D, max_rank=4)
+            U = bf.random_frame(rng, D)
+            rho = U @ np.diag(np.logspace(0, -decades, D)) @ U.conj().T
+            space = build_gns(OperatorSpan(basis), AlgebraState(density=rho, normalize=True))
+            assert_gns_center_matches_oracle(space)
 
 
 # The inputs on which a Gram-Schmidt Hermitian basis kept one roundoff

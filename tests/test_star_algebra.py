@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gnsentropy import (
     PRESET_NAMES,
     AlgebraError,
+    AlgebraState,
     ClosureError,
     OperatorSpan,
+    build_gns,
     center,
     commutant,
     full_matrix_algebra,
@@ -176,6 +180,122 @@ def test_center_matches_bruteforce_on_random_block_algebras(seed):
     span = OperatorSpan(basis)
     assert center(span).dim == len(blocks)
     assert bf.center_dim(basis) == len(blocks)
+
+
+# ---------------------------------------------------------------------------
+# streamed structure constants and the seeds center, against all-at-once oracles
+
+
+def tensor_frame_span(k, m):
+    gen, _, _ = bf.random_tensor_factor(np.random.default_rng(680 + k * m), k, m)
+    return span_closure([gen], include_unit=True)
+
+
+def planted_closure_span(seed):
+    rng = np.random.default_rng(720 + seed)
+    basis, _ = bf.random_block_span(rng, int(rng.integers(3, 13)), max_rank=4)
+    n = len(basis)
+    gens = [np.tensordot(rng.standard_normal(n) + 1j * rng.standard_normal(n), basis, axes=(0, 0))
+            for _ in range(2)]
+    return span_closure(gens, include_unit=True)
+
+
+def planted_basis_span(seed):
+    rng = np.random.default_rng(740 + seed)
+    basis, _ = bf.random_block_span(rng, int(rng.integers(3, 13)), max_rank=4)
+    return OperatorSpan(basis)
+
+
+ORACLE_SPANS = (
+    [("preset", name) for name in PRESET_NAMES]
+    + [("frame", km) for km in [(2, 3), (3, 4), (4, 6), (5, 7), (6, 6)]]
+    + [("planted_closure", s) for s in range(6)]
+    + [("planted_basis", s) for s in range(6)]
+    + [("hecke", N) for N in (3, 4, 5)]
+)
+
+
+def oracle_span(presets, kind, arg):
+    if kind == "preset":
+        return presets[arg][0]
+    if kind == "frame":
+        return tensor_frame_span(*arg)
+    if kind == "hecke":
+        return span_closure(bf.hecke_generators(arg, 1.7), include_unit=True)
+    return {"planted_closure": planted_closure_span, "planted_basis": planted_basis_span}[kind](arg)
+
+
+ORACLE_IDS = [f"{kind}-{'x'.join(map(str, arg)) if isinstance(arg, tuple) else arg}"
+              for kind, arg in ORACLE_SPANS]
+
+
+@pytest.mark.parametrize("kind, arg", ORACLE_SPANS, ids=ORACLE_IDS)
+def test_structure_constants_match_einsum_oracle(presets, kind, arg):
+    span = oracle_span(presets, kind, arg)
+    coeff, resid = OperatorSpan(span.basis).structure_constants()
+    want_coeff, want_resid = bf.structure_constants(span.basis)
+    assert np.abs(coeff - want_coeff).max() <= 1e-13
+    assert abs(resid - want_resid) <= 1e-14
+    assert resid < 1e-12
+
+
+def test_span_that_is_not_closed_keeps_its_residual_and_raises():
+    # I and diag(1, 2, 4) span no algebra: diag(1, 4, 16) is not in their span
+    span = span_closure([np.diag([1.0, 2.0, 4.0]).astype(complex)], include_unit=True)
+    span = OperatorSpan(span.basis[:2])
+    assert span.dim == 2
+    _, resid = span.structure_constants()
+    _, want = bf.structure_constants(span.basis)
+    assert resid > 0.1
+    assert abs(resid - want) <= 1e-14
+    with pytest.raises(ClosureError):
+        build_gns(span, AlgebraState(vector=[1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("kind, arg", ORACLE_SPANS, ids=ORACLE_IDS)
+def test_center_matches_all_basis_oracle_with_and_without_generators(presets, kind, arg):
+    span = oracle_span(presets, kind, arg)
+    if kind in ("frame", "planted_closure", "hecke"):
+        assert span.generators is not None
+    want = bf.center_basis(span.basis)
+    for s in (span, OperatorSpan(span.basis)):
+        assert_same_span(center(s).basis, want)
+
+
+def test_closure_keeps_its_orthonormal_seeds_as_generators():
+    gens = bf.hecke_generators(4, 1.7)
+    span = span_closure(gens, include_unit=True)
+    # three symmetric generators (their adjoints add nothing) and the unit
+    S = span.generators
+    assert S.shape == (4, 16, 16)
+    assert np.abs(S.reshape(4, -1).conj() @ S.reshape(4, -1).T - np.eye(4)).max() < 1e-12
+    assert np.array_equal(S, span.basis[:4])
+    assert not S.flags.writeable
+    assert OperatorSpan(span.basis).generators is None
+
+
+@pytest.mark.parametrize("N, table", [(4, [(1, 5), (3, 3), (2, 1)]), (5, [(1, 6), (4, 4), (5, 2)])])
+def test_hecke_block_tables_match_quantum_schur_weyl(N, table):
+    span = span_closure(bf.hecke_generators(N, 1.7), include_unit=True)
+    assert span.dim == sum(n * n for n, _ in table)
+    assert len(span.generators) == N
+    data = wedderburn(span)
+    assert sorted(data.block_table()) == sorted(table)
+    assert center(span).dim == len(table)
+
+
+def test_streamed_kernels_stay_small_on_a_d36_tensor_frame():
+    # one n^2 D^2 complex stack at n = D = 36 is 26 MB on its own
+    span = tensor_frame_span(6, 6)
+    assert (span.dim, span.ambient_dim) == (36, 36)
+    for kernel in (span.structure_constants, lambda: center(span)):
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
