@@ -6,7 +6,11 @@ space (the left ideal quotiented away), an orthonormal quotient basis from
 the retained Gram eigenvectors, the left-multiplication representation
 projected onto the quotient, and the class of the unit as cyclic vector.
 Matrix elements of the representation against the cyclic vector recover
-the state.
+the state. For ``omega = trace(L L^dag .)`` the class of ``X`` is ``X L``,
+so the quotient is the cyclic subspace spanned by the ``B_a L`` in
+C^(D x k) and ``pi(B_a)`` is ``B_a (x) 1_k`` restricted to it: the
+representation comes from products with the state's factor, and the span's
+structure constants are never expanded.
 
 The quotient representation is then split into isotypic components. The
 component projections are the minimal projections of the center of the
@@ -15,15 +19,19 @@ that commutant is made of right multiplications: right multiplication by
 an element c passes to the quotient when it maps the null space into
 itself, and its compressions to the quotient span the whole commutant
 (all of the right-regular representation when the state is faithful on
-the span). It is read off the same structure constants, Gram matrix and
-quotient basis as the representation itself, with no Kronecker solve and
-no data from the block route. Its center is its intersection with the
-span of the representation (its own bicommutant), found from principal
-angles with no commutators. Inside a component of multiplicity m the
-state weight spreads over m Schmidt directions: the refined weights are
-the spectrum of the cyclic vector's state on the commutant corner, read
-off the projection of its rank-one projector onto that corner, with no
-choice of irreducible summands and no random draws.
+the span). It is read off the same cyclic subspace as the representation
+itself, as the vectors ``B_b c L``, with no Kronecker solve and no data
+from the block route. Its center is its intersection with the span of the
+representation (its own bicommutant), found from principal angles with no
+commutators. Inside a component of multiplicity m the state weight spreads
+over m Schmidt directions: the refined weights are the spectrum of the
+cyclic vector's state on the commutant corner, read off the projection of
+its rank-one projector onto that corner, with no choice of irreducible
+summands and no random draws.
+
+Products are streamed in chunks of the span's basis, so no intermediate
+holds more than the n*D^2 + n^3 numbers of the streamed structure
+constants.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from .linalg import (
     NULL_FLOOR,
     PSD_TOL,
     RESULT_TOL,
+    chunks,
     dagger,
     eigh_null_split,
     hermitize,
@@ -181,9 +190,12 @@ class GnsSpace:
 
     ``quotient_coords`` holds the retained Gram eigenvectors scaled to unit
     quotient norm, as columns of coefficients in the algebra basis;
-    ``null_coords`` the discarded directions. ``rep_matrices[a]`` is the
-    action of basis element ``a`` on the quotient, and ``cyclic_vector``
-    the class of the ambient identity.
+    ``null_coords`` the discarded directions. ``cyclic_basis`` holds the
+    same quotient basis as orthonormal columns ``vec(X L)`` in C^(D*k)
+    (``L`` the state's D x k factor): the class of X is X L, so the
+    quotient is the cyclic subspace spanned by the ``B_a L``.
+    ``rep_matrices[a]`` is the action of basis element ``a`` on the
+    quotient, and ``cyclic_vector`` the class of the ambient identity.
     """
 
     span: OperatorSpan
@@ -194,6 +206,7 @@ class GnsSpace:
     rep_matrices: np.ndarray
     cyclic_vector: np.ndarray
     rtol: float
+    cyclic_basis: np.ndarray
 
     @property
     def gns_dim(self) -> int:
@@ -221,31 +234,43 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     ``vec(B_a L)`` (``L`` the state's factor). Right singular vectors of
     ``M`` with squared singular value at or below the relative cut span the
     null space, to about eps / s rather than an eigensolve's eps / s^2; the
-    rest, scaled by 1 / s, form an orthonormal quotient basis. Representation
-    matrices are the span's structure constants compressed to the quotient.
+    rest, scaled by 1 / s, form an orthonormal quotient basis, and the
+    matching left singular vectors E are its images ``vec(X L)``. The class
+    of ``X`` is ``X L``, so ``pi(B_a)`` is ``B_a (x) 1_k`` on the range of
+    E: ``rep_matrices[a] = E^dag (B_a (x) 1_k) E`` and the cyclic vector is
+    ``E^dag vec(L)``, with no structure constants. The span must be
+    multiplicatively closed; :meth:`OperatorSpan.closure_residual` checks
+    that from the products of the basis with the generators.
     """
     rtol = span.rtol if rtol is None else rtol
     if not span.has_unit:
         raise ValueError("GNS construction requires a unital span")
-    V = (_matrix_stack(span, state) @ state.factor).reshape(span.dim, -1)
+    B, L = _matrix_stack(span, state), state.factor
+    V = (B @ L).reshape(span.dim, -1)
     G = _check_gram_psd(V.conj() @ V.T)
-    s, vh = right_singular(V.T)
+    u, s, vh = right_singular(V.T, left=True)
     n_keep = int(np.count_nonzero(s**2 > max(rtol * s[0] ** 2, NULL_FLOOR)))
     null_coords = vh[n_keep:].conj().T
     # ascending in s, as an eigensolve of G orders them: descending order
     # costs the commutant's SVDs up to 4e-14 on ex4_left's smallest weights
     Q = (vh[:n_keep].conj().T / s[:n_keep])[:, ::-1]
+    E = u[:, :n_keep][:, ::-1].copy()
 
-    coeff, resid = span.structure_constants()
-    if resid > CLOSURE_SLACK * rtol:
+    resid, cut = span.closure_residual(), CLOSURE_SLACK * rtol
+    if resid > cut:
+        factors = (f"its {len(span.generators)} generators" if span.generators is not None
+                   else f"its {span.dim} basis elements")
         raise ClosureError(
-            f"span is not multiplicatively closed (residual {resid:.3e}); "
-            "GNS needs an algebra"
+            f"span is not multiplicatively closed: the products of its basis with "
+            f"{factors} leave residual {resid:.3e} above the cut {cut:.3e} "
+            "(CLOSURE_SLACK * rtol); GNS needs an algebra"
         )
-    # left multiplication by B_a on coefficient space: (L_a)[c, b] = coeff[a, b, c]
-    L = coeff.transpose(0, 2, 1)
-    rep = (Q.conj().T @ G) @ L @ Q
-    cyclic = Q.conj().T @ (G @ span.unit_coords)
+    D, r = span.ambient_dim, n_keep
+    En, Eh = E.reshape(D, -1), E.conj().T
+    rep = np.empty((span.dim, r, r), dtype=complex)
+    for c in chunks(span.dim, E.size, _budget(span)):
+        # columns vec(B_a E_j): B_a times E_j reshaped D x k, one GEMM per chunk
+        rep[c] = Eh @ (B[c].reshape(-1, D) @ En).reshape(-1, E.shape[0], r)
     return GnsSpace(
         span=span,
         state=state,
@@ -253,9 +278,16 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
         null_coords=null_coords,
         quotient_coords=Q,
         rep_matrices=rep,
-        cyclic_vector=cyclic,
+        cyclic_vector=Eh @ L.ravel(),
         rtol=rtol,
+        cyclic_basis=E,
     )
+
+
+def _budget(span: OperatorSpan) -> int:
+    """Numbers a streamed GNS intermediate may hold: what the structure
+    constants' streamed products and coefficients hold, n*D^2 + n^3."""
+    return span.dim * span.ambient_dim ** 2 + span.dim ** 3
 
 
 @dataclass(frozen=True)
@@ -308,21 +340,31 @@ def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
     """Commutant of the GNS representation, as compressed right multiplications.
 
     Right multiplication by ``gamma`` acts on coefficient space as
-    ``R_gamma = sum_a gamma_a R_a`` with ``R_a[c, b] = coeff[b, a, c]``. It
-    passes to the quotient when it maps the null space into itself, i.e.
-    ``Q^dag G R_gamma nu = 0`` for every null column ``nu``; it commutes
-    with every left multiplication, and the compressions ``Q^dag G R_gamma
-    Q`` of the allowed ``gamma`` span the commutant of the representation.
+    ``R_gamma = sum_a gamma_a R_a``, where ``R_a`` sends ``B_b`` to
+    ``B_b B_a``; on the quotient basis E that is ``right[a][:, b] = E^dag
+    vec(B_b B_a L)``, read off products with the state's factor, not off
+    structure constants. It passes to the quotient when it maps the null
+    space into itself, i.e. ``right_gamma nu = 0`` for every null column
+    ``nu``; it commutes with every left multiplication, and the
+    compressions ``right_gamma Q`` of the allowed ``gamma`` span the
+    commutant of the representation.
     """
-    coeff, _ = space.span.structure_constants()
-    n, r = space.span.dim, space.gns_dim
+    span, E = space.span, space.cyclic_basis
+    B, n, D, r = span.basis, span.dim, span.ambient_dim, space.gns_dim
+    V = (B @ space.state.factor).reshape(n, -1)
+    Ebar = E.conj().reshape(D, -1)
+    right = np.empty((n, r, n), dtype=complex)
+    for c in chunks(n, E.size, _budget(span)):
+        # conj(B_b^dag E) = B_b^T conj(E), so right[a, j, b] = <B_b^dag E_j, B_a L>
+        Y = (B[c].transpose(0, 2, 1) @ Ebar).reshape(-1, E.shape[0], r)
+        right[:, :, c] = (V @ Y).transpose(1, 2, 0)
     Q = space.quotient_coords
-    right = (Q.conj().T @ space.gram) @ coeff.transpose(1, 2, 0)
     cond = (right @ space.null_coords).reshape(n, -1).T
-    # The cut is relative to the whole map gamma -> Q^dag G R_gamma, not to
-    # the condition alone: where every gamma is allowed the condition is
-    # pure roundoff, and a cut relative to it would reject them all.
-    scale = np.linalg.norm(right.reshape(n, -1).T, 2)
+    # The cut is relative to the whole map gamma -> right_gamma, not to the
+    # condition alone: where every gamma is allowed the condition is pure
+    # roundoff, and a cut relative to it would reject them all. With no
+    # null space the condition has no rows and needs no scale.
+    scale = np.linalg.norm(right.reshape(n, -1).T, 2) if cond.size else 0.0
     s, vh = right_singular(cond)
     allowed = vh[np.count_nonzero(s > rtol * scale):].conj()
     images = np.tensordot(allowed, right @ Q, axes=(1, 0))

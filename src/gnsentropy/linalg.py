@@ -154,16 +154,33 @@ def matrix_rank(A: np.ndarray, rtol: float | None = None) -> int:
     return int(np.count_nonzero(s > rtol * s[0]))
 
 
-def right_singular(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def right_singular(A: np.ndarray, left: bool = False):
     """Singular values and all right singular vectors (rows of ``vh``) of A.
 
     A tall A is first reduced to its triangular QR factor, so no rows x rows
     left factor is ever formed. The values are descending and zero-padded
-    to the column count; ``vh`` is square.
+    to the column count; ``vh`` is square. Returns ``(s, vh)``, or
+    ``(u, s, vh)`` with ``left=True``: ``u`` holds the min(rows, cols) left
+    singular vectors as columns, paired with the leading rows of ``vh``
+    (the QR's orthonormal factor times those of the triangular one).
     """
-    R = np.linalg.qr(A, mode="r") if A.shape[0] > A.shape[1] else A
-    _, s, vh = np.linalg.svd(R, full_matrices=True)
-    return np.pad(s, (0, A.shape[1] - s.size)), vh
+    tall = A.shape[0] > A.shape[1]
+    if tall and left:
+        q, R = np.linalg.qr(A)
+    else:
+        R = np.linalg.qr(A, mode="r") if tall else A
+    u, s, vh = np.linalg.svd(R, full_matrices=True)
+    s = np.pad(s, (0, A.shape[1] - s.size))
+    if not left:
+        return s, vh
+    return (q @ u if tall else u), s, vh
+
+
+def chunks(n: int, item_size: int, budget: int) -> list[slice]:
+    """Consecutive slices covering range(n), as many items each as fit in
+    ``budget`` numbers at ``item_size`` numbers per item (at least one)."""
+    step = max(1, budget // max(item_size, 1))
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def eig_clusters(vals: np.ndarray, tol: float) -> list[slice]:

@@ -26,6 +26,7 @@ from .linalg import (
     CLUSTER_TOL,
     DEFAULT_RTOL,
     as_square,
+    chunks,
     dagger,
     eig_clusters,
     eigh_null_split,
@@ -56,8 +57,11 @@ class OperatorSpan:
     rtol : float, optional
         Relative tolerance used by membership queries.
     generators : ndarray, shape (s, D, D), optional
-        Elements generating the span as an algebra, trusted like the basis;
-        :func:`center` commutes with these instead of with the basis.
+        Elements generating the span as an algebra, trusted like the basis.
+        :func:`center` commutes with these instead of with the basis, and
+        :meth:`closure_residual` multiplies the basis by these alone. A set
+        that generates less than the span defeats both: the center comes
+        out too large and a span that is not closed can pass as closed.
     """
 
     def __init__(self, basis: np.ndarray, rtol: float | None = None,
@@ -80,6 +84,8 @@ class OperatorSpan:
         if not self.has_unit:
             self.unit_coords = None
         self._structure: tuple[np.ndarray, float] | None = None
+        self._closure: float | None = None
+        self._adjoint: tuple[np.ndarray, float] | None = None
 
     @property
     def dim(self) -> int:
@@ -117,6 +123,27 @@ class OperatorSpan:
             raise ValueError("span does not contain the ambient identity")
         return self.reconstruct(self.unit_coords)
 
+    def _expand_products(self, factors: np.ndarray) -> tuple[np.ndarray, float]:
+        """Expand every product ``B_a S`` (S over ``factors``) in the basis.
+
+        Returns ``(coeff, residual)``: ``B_a S_j = sum_c coeff[a,j,c] B_c``
+        up to ``residual``, the largest HS norm left unexpanded. Left
+        factors are streamed in chunks, one GEMM of ``[B_a; ...]`` against
+        ``[S_0|...|S_(s-1)]`` each, whose products hold at most n*D^2 numbers.
+        """
+        B = self.basis
+        n, D, s = self.dim, self.ambient_dim, factors.shape[0]
+        flat = B.reshape(n, D * D)
+        row, dual = factors.transpose(1, 0, 2).reshape(D, s * D), flat.conj().T
+        coeff, resid = np.empty((n, s, n), dtype=complex), 0.0
+        for c in chunks(n, s * D * D, n * D * D):
+            prod = (B[c].reshape(-1, D) @ row).reshape(-1, D, s, D)
+            prod = prod.transpose(0, 2, 1, 3).reshape(-1, D * D)
+            expanded = prod @ dual
+            resid = max(resid, float(np.linalg.norm(prod - expanded @ flat, axis=1).max()))
+            coeff[c] = expanded.reshape(-1, s, n)
+        return coeff, resid
+
     def structure_constants(self) -> tuple[np.ndarray, float]:
         """Expansion of all basis products back in the basis.
 
@@ -127,26 +154,39 @@ class OperatorSpan:
         against ``[B_0|...|B_(n-1)]``, so memory peaks at n*D^2 + n^3.
         """
         if self._structure is None:
-            B = self.basis
-            n, D = self.dim, self.ambient_dim
-            flat = B.reshape(n, D * D)
-            row, dual = B.transpose(1, 0, 2).reshape(D, n * D), flat.conj().T
-            coeff, resid = np.empty((n, n, n), dtype=complex), 0.0
-            for a in range(n):
-                prod = (B[a] @ row).reshape(D, n, D).transpose(1, 0, 2).reshape(n, D * D)
-                coeff[a] = prod @ dual
-                resid = max(resid, float(np.linalg.norm(prod - coeff[a] @ flat, axis=1).max()))
-            self._structure = (coeff, resid)
+            self._structure = self._expand_products(self.basis)
         return self._structure
 
+    def closure_residual(self) -> float:
+        """Largest HS norm left unexpanded by the products ``B_a S``.
+
+        S runs over the span's ``generators``: n*s products rather than n^2.
+        For a unital span that its generators generate, ``span S`` inside
+        the span gives ``span S^j`` inside it for every j, hence
+        ``span span`` inside it. A span without generators falls back to its
+        basis, and the value is :meth:`structure_constants`' residual, read
+        from its cache when it is there. Cached like it.
+        """
+        if self.generators is None:
+            return self.structure_constants()[1]
+        if self._closure is None:
+            self._closure = self._expand_products(self.generators)[1]
+        return self._closure
+
     def adjoint_coords(self) -> tuple[np.ndarray, float]:
-        """Matrix S with ``B_a^dag = sum_b S[a,b] B_b`` and the worst residual."""
-        B = self.basis
-        n, D = self.dim, self.ambient_dim
-        adj = dagger(B).reshape(n, D * D)
-        S = adj @ B.conj().reshape(n, D * D).T
-        resid = float(np.linalg.norm(adj - S @ B.reshape(n, D * D), axis=1).max()) if n else 0.0
-        return S, resid
+        """Matrix S with ``B_a^dag = sum_b S[a,b] B_b`` and the worst residual.
+
+        Cached on the span; ``S`` is read-only.
+        """
+        if self._adjoint is None:
+            B = self.basis
+            n, D = self.dim, self.ambient_dim
+            adj = dagger(B).reshape(n, D * D)
+            S = adj @ B.conj().reshape(n, D * D).T
+            resid = float(np.linalg.norm(adj - S @ B.reshape(n, D * D), axis=1).max()) if n else 0.0
+            S.setflags(write=False)
+            self._adjoint = (S, resid)
+        return self._adjoint
 
     def hermitian_basis(self) -> np.ndarray:
         """Orthonormal Hermitian matrices spanning the Hermitian part.

@@ -328,6 +328,26 @@ def test_both_routes_agree_on_hecke_algebras(N):
         assert rep.gns_dim == span.dim - rep.null_dim
 
 
+@pytest.mark.parametrize("name", ["frame", "hecke"])
+def test_gns_route_needs_no_structure_constants_on_closure_spans(monkeypatch, name):
+    # the representation, the commutant and the closure check all come from
+    # products with the state's factor and with the closure's generators
+    rng = np.random.default_rng(790)
+    if name == "frame":
+        gen, psi, weights = bf.random_tensor_factor(rng, 4, 6)
+        gens = [gen]
+    else:
+        gens, weights = bf.hecke_generators(4, 1.7), None
+        psi = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    span = span_closure(gens, include_unit=True)
+    monkeypatch.setattr(OperatorSpan, "structure_constants",
+                        lambda self: pytest.fail("structure constants computed"))
+    rep = restriction_entropy(span, AlgebraState(vector=psi, normalize=True), method="both")
+    assert rep.methods_agree
+    if weights is not None:
+        assert spectra_agree(rep.spectrum, weights, tol=1e-10)
+
+
 PLANTED_BLOCKS = [(D, rank) for D in (6, 8, 12, 16, 24) for rank in (1, 2, D)]
 
 

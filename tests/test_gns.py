@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,48 @@ def test_state_recovery_from_cyclic_vector(preset_cases):
         want = state.values(span.basis)
         got = space.state_values()
         assert np.abs(want - got).max() < 1e-9
+
+
+def test_cyclic_basis_is_the_orthonormal_image_of_the_quotient_basis(preset_cases):
+    for _, span, state in preset_cases:
+        space = build_gns(span, state)
+        E = space.cyclic_basis
+        assert np.abs(E.conj().T @ E - np.eye(space.gns_dim)).max() < 1e-12
+        # column j is vec(X_j L) for the quotient element X_j = sum_a Q[a, j] B_a
+        V = (span.basis @ state.factor).reshape(span.dim, -1)
+        assert np.abs(V.T @ space.quotient_coords - E).max() < 1e-9
+
+
+def test_representation_equals_compressed_structure_constants(presets):
+    # the same matrices as (Q^dag G) L_a Q from the all-at-once structure
+    # constants, so the quotient basis and its phases are unchanged
+    for name, grid in FAMILY_GRIDS.items():
+        span, family = presets[name]
+        coeff, _ = bf.structure_constants(span.basis)
+        for params in grid:
+            space = build_gns(span, family.state(params))
+            Q, G = space.quotient_coords, space.gram
+            want = (Q.conj().T @ G) @ coeff.transpose(0, 2, 1) @ Q
+            assert np.abs(space.rep_matrices - want).max() <= 1e-12, (name, params)
+            cyclic = Q.conj().T @ (G @ span.unit_coords)
+            assert np.abs(space.cyclic_vector - cyclic).max() <= 1e-12, (name, params)
+
+
+def test_gns_stages_stay_small_on_hecke_n5_with_a_full_rank_density():
+    # D k = 1024 against n = 42: one n D k r stack of products would be 29 MB,
+    # so the products are streamed within n D^2 + n^3 numbers
+    span = span_closure(bf.hecke_generators(5, 1.7), include_unit=True)
+    rng = np.random.default_rng(795)
+    X = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    state = AlgebraState(density=X @ X.conj().T, normalize=True)
+    tracemalloc.start()
+    try:
+        iso = isotypic_decompose(build_gns(span, state))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iso.commutant_dim == span.dim
+    assert peak < 12e6
 
 
 # ---------------------------------------------------------------------------

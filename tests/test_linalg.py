@@ -75,3 +75,15 @@ def test_right_singular_pads_values_and_keeps_every_right_vector(rows, cols):
     assert np.abs(vh.conj().T @ np.diag(s**2) @ vh - gram).max() < 1e-12 * max(1.0, np.abs(gram).max())
     want = np.linalg.svd(A, compute_uv=False)
     assert np.allclose(s[: want.size], want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 5), (3, 7), (5, 5)])
+def test_right_singular_left_vectors_pair_with_the_right_ones(rows, cols):
+    A = cgauss(np.random.default_rng(6), rows, cols)
+    u, s, vh = right_singular(A, left=True)
+    s0, vh0 = right_singular(A)
+    assert np.array_equal(s, s0) and np.array_equal(vh, vh0)
+    m = min(rows, cols)
+    assert u.shape == (rows, m)
+    assert np.abs(u.conj().T @ u - np.eye(m)).max() < 1e-13
+    assert np.abs(A @ vh[:m].conj().T - u * s[:m]).max() < 1e-12

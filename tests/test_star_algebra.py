@@ -13,6 +13,7 @@ from gnsentropy import (
     center,
     commutant,
     full_matrix_algebra,
+    restriction_entropy,
     span_closure,
     wedderburn,
 )
@@ -239,6 +240,14 @@ def test_structure_constants_match_einsum_oracle(presets, kind, arg):
     assert resid < 1e-12
 
 
+@pytest.mark.parametrize("kind, arg", ORACLE_SPANS, ids=ORACLE_IDS)
+def test_closure_residual_is_roundoff_and_falls_back_to_the_structure_constants(presets, kind, arg):
+    span = oracle_span(presets, kind, arg)
+    assert span.closure_residual() <= 1e-13
+    bare = OperatorSpan(span.basis)
+    assert abs(bare.closure_residual() - bf.structure_constants(span.basis)[1]) <= 1e-14
+
+
 def test_span_that_is_not_closed_keeps_its_residual_and_raises():
     # I and diag(1, 2, 4) span no algebra: diag(1, 4, 16) is not in their span
     span = span_closure([np.diag([1.0, 2.0, 4.0]).astype(complex)], include_unit=True)
@@ -248,8 +257,35 @@ def test_span_that_is_not_closed_keeps_its_residual_and_raises():
     _, want = bf.structure_constants(span.basis)
     assert resid > 0.1
     assert abs(resid - want) <= 1e-14
-    with pytest.raises(ClosureError):
-        build_gns(span, AlgebraState(vector=[1.0, 0.0, 0.0]))
+    state = AlgebraState(vector=[1.0, 0.0, 0.0])
+    with pytest.raises(ClosureError, match=r"its 2 basis elements leave residual .* above the cut 1\.000e-07"):
+        build_gns(span, state)
+    # the same span trusting its generators: their products leave the same kind of residual
+    with_gens = OperatorSpan(span.basis, generators=span.basis)
+    assert with_gens.closure_residual() > 0.1
+    with pytest.raises(ClosureError, match=r"its 2 generators leave residual"):
+        build_gns(with_gens, state)
+
+
+def test_closure_residual_is_cached_and_reads_cached_structure_constants(monkeypatch):
+    span, bare = tensor_frame_span(3, 4), full_matrix_algebra(3)
+    first = span.closure_residual()
+    _, resid = bare.structure_constants()
+    monkeypatch.setattr(OperatorSpan, "_expand_products",
+                        lambda self, factors: pytest.fail("products expanded again"))
+    assert span.closure_residual() == first
+    assert bare.closure_residual() == resid
+
+
+def test_adjoint_coords_are_cached_and_read_only():
+    span = tensor_frame_span(3, 4)
+    S, resid = span.adjoint_coords()
+    assert span.adjoint_coords()[0] is S
+    assert not S.flags.writeable
+    assert resid < 1e-12
+    # B_a^dag = sum_b S[a, b] B_b
+    adj = span.basis.conj().swapaxes(-1, -2)
+    assert np.abs(adj - np.tensordot(S, span.basis, axes=(1, 0))).max() < 1e-12
 
 
 @pytest.mark.parametrize("kind, arg", ORACLE_SPANS, ids=ORACLE_IDS)
@@ -282,6 +318,22 @@ def test_hecke_block_tables_match_quantum_schur_weyl(N, table):
     data = wedderburn(span)
     assert sorted(data.block_table()) == sorted(table)
     assert center(span).dim == len(table)
+
+
+def test_hecke_n6_block_table_and_both_routes():
+    # quantum Schur-Weyl at N = 6: n = 132 on D = 64, every GNS stage from
+    # products with the state rather than from the n^3 structure constants
+    span = span_closure(bf.hecke_generators(6, 1.7), include_unit=True)
+    assert (span.dim, span.ambient_dim) == (132, 64)
+    blocks = wedderburn(span)
+    assert sorted(blocks.block_table()) == sorted([(1, 7), (5, 5), (9, 3), (5, 1)])
+    rng = np.random.default_rng(786)
+    psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    rep = restriction_entropy(span, AlgebraState(vector=psi, normalize=True), method="both",
+                              blocks=blocks)
+    assert rep.methods_agree
+    assert abs(rep.spectrum.sum() - 1.0) < 1e-12
+    assert rep.gns_dim == span.dim - rep.null_dim
 
 
 def test_streamed_kernels_stay_small_on_a_d36_tensor_frame():
