@@ -125,12 +125,6 @@ def build_scenario(spec: dict):
         if given[0] == "parameters":
             params = dict(state_spec["parameters"])
             state = family.state(params)
-        elif given[0] == "vector":
-            state = AlgebraState(vector=parse_vector(state_spec["vector"], dim, "state.vector"),
-                                 normalize=True)
-        else:
-            state = AlgebraState(density=parse_matrix(state_spec["density"], dim, "state.density"),
-                                 normalize=True)
         meta = {"preset": name, "parameters": params, "family": family}
     else:
         dim = spec.get("ambient_dim")
@@ -142,15 +136,15 @@ def build_scenario(spec: dict):
             for i, g in enumerate(algebra["generators"])
         ]
         span = span_closure(gens, include_unit=True, ambient_dim=dim, rtol=rtol)
-        if given[0] == "vector":
-            state = AlgebraState(vector=parse_vector(state_spec["vector"], dim, "state.vector"),
-                                 normalize=True)
-        elif given[0] == "density":
-            state = AlgebraState(density=parse_matrix(state_spec["density"], dim, "state.density"),
-                                 normalize=True)
-        else:
+        if given[0] == "parameters":
             raise ValueError("'parameters' requires a preset algebra")
         meta = {"preset": None, "parameters": {}, "family": None}
+    if given[0] == "vector":
+        state = AlgebraState(vector=parse_vector(state_spec["vector"], dim, "state.vector"),
+                             normalize=True)
+    elif given[0] == "density":
+        state = AlgebraState(density=parse_matrix(state_spec["density"], dim, "state.density"),
+                             normalize=True)
 
     method = spec.get("method", "both")
     if method not in METHODS:

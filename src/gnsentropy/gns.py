@@ -14,14 +14,14 @@ structure constants are never expanded.
 
 The quotient representation is then split into isotypic components. The
 component projections are the minimal projections of the center of the
-commutant of the representation. Because the null space is a left ideal,
-that commutant is made of right multiplications: right multiplication by
-an element c passes to the quotient when it maps the null space into
-itself, and its compressions to the quotient span the whole commutant
-(all of the right-regular representation when the state is faithful on
-the span). It is read off the same cyclic subspace as the representation
-itself, as the vectors ``B_b c L``, with no Kronecker solve and no data
-from the block route. Its center is its intersection with the span of the
+commutant of the representation. The GNS triple fixes that commutant: an
+operator T commuting with the representation is determined by u = T xi
+(xi the cyclic vector), since T pi(Y) xi = pi(Y) u, and a vector u gives
+such an operator exactly when pi(X) u = 0 for every null X. So the
+commutant is read off the representation matrices and the null and
+quotient coordinates, inside the r-dimensional quotient, with no
+Kronecker solve, no products with the span's basis and no data from the
+block route. Its center is its intersection with the span of the
 representation (its own bicommutant), found from principal angles with no
 commutators. Inside a component of multiplicity m the state weight spreads
 over m Schmidt directions: the refined weights are the spectrum of the
@@ -29,9 +29,9 @@ cyclic vector's state on the commutant corner, read off the projection of
 its rank-one projector onto that corner, with no choice of irreducible
 summands and no random draws.
 
-Products are streamed in chunks of the span's basis, so no intermediate
-holds more than the n*D^2 + n^3 numbers of the streamed structure
-constants.
+The representation's products are streamed in chunks of the span's
+basis, so no intermediate holds more than the n*D^2 + n^3 numbers of the
+streamed structure constants.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .linalg import (
     hs_norm,
     range_basis,
     right_singular,
+    row_basis,
 )
 from .star_algebra import OperatorSpan, minimal_projections
 
@@ -251,8 +252,8 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     u, s, vh = right_singular(V.T, left=True)
     n_keep = int(np.count_nonzero(s**2 > max(rtol * s[0] ** 2, NULL_FLOOR)))
     null_coords = vh[n_keep:].conj().T
-    # ascending in s, as an eigensolve of G orders them: descending order
-    # costs the commutant's SVDs up to 4e-14 on ex4_left's smallest weights
+    # ascending in s, as an eigensolve of G orders them: the weights do not
+    # depend on this order, but their roundoff does (4 grid rows move without it)
     Q = (vh[:n_keep].conj().T / s[:n_keep])[:, ::-1]
     E = u[:, :n_keep][:, ::-1].copy()
 
@@ -265,10 +266,12 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
             f"{factors} leave residual {resid:.3e} above the cut {cut:.3e} "
             "(CLOSURE_SLACK * rtol); GNS needs an algebra"
         )
-    D, r = span.ambient_dim, n_keep
+    n, D, r = span.dim, span.ambient_dim, n_keep
     En, Eh = E.reshape(D, -1), E.conj().T
-    rep = np.empty((span.dim, r, r), dtype=complex)
-    for c in chunks(span.dim, E.size, _budget(span)):
+    rep = np.empty((n, r, r), dtype=complex)
+    # the chunks hold no more numbers than the streamed structure constants'
+    # products and coefficients, n*D^2 + n^3
+    for c in chunks(n, E.size, n * D**2 + n**3):
         # columns vec(B_a E_j): B_a times E_j reshaped D x k, one GEMM per chunk
         rep[c] = Eh @ (B[c].reshape(-1, D) @ En).reshape(-1, E.shape[0], r)
     return GnsSpace(
@@ -282,12 +285,6 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
         rtol=rtol,
         cyclic_basis=E,
     )
-
-
-def _budget(span: OperatorSpan) -> int:
-    """Numbers a streamed GNS intermediate may hold: what the structure
-    constants' streamed products and coefficients hold, n*D^2 + n^3."""
-    return span.dim * span.ambient_dim ** 2 + span.dim ** 3
 
 
 @dataclass(frozen=True)
@@ -331,46 +328,34 @@ class IsotypicDecomposition:
 def _corner_span(P: np.ndarray, span: OperatorSpan, rtol: float) -> np.ndarray:
     """Orthonormal basis of ``P span P`` as a matrix stack, cut by one SVD
     (a row-by-row Gram-Schmidt cut can keep roundoff leaked from elsewhere)."""
-    corner = (P @ span.basis @ P).reshape(span.dim, -1)
-    _, s, vh = np.linalg.svd(corner, full_matrices=False)
-    return vh[: np.count_nonzero(s > rtol * s[0])].reshape(-1, P.shape[0], P.shape[0])
+    d = P.shape[0]
+    return row_basis((P @ span.basis @ P).reshape(span.dim, -1), rtol).reshape(-1, d, d)
 
 
 def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
-    """Commutant of the GNS representation, as compressed right multiplications.
+    """Commutant of the GNS representation, from the GNS triple alone.
 
-    Right multiplication by ``gamma`` acts on coefficient space as
-    ``R_gamma = sum_a gamma_a R_a``, where ``R_a`` sends ``B_b`` to
-    ``B_b B_a``; on the quotient basis E that is ``right[a][:, b] = E^dag
-    vec(B_b B_a L)``, read off products with the state's factor, not off
-    structure constants. It passes to the quotient when it maps the null
-    space into itself, i.e. ``right_gamma nu = 0`` for every null column
-    ``nu``; it commutes with every left multiplication, and the
-    compressions ``right_gamma Q`` of the allowed ``gamma`` span the
-    commutant of the representation.
+    With xi the cyclic vector, every T in the commutant is fixed by
+    ``u = T xi``: ``T [Y] = T pi(Y) xi = pi(Y) u``. Conversely ``u`` gives
+    the operator ``T_u: [Y] -> pi(Y) u``, which commutes with the
+    representation, whenever that is well defined on the quotient, i.e.
+    ``pi(X_nu) u = 0`` for every null class ``X_nu`` (the columns of
+    ``null_coords``). The allowed ``u`` are the right null vectors of the
+    stacked ``pi(X_nu)``, and the images ``T_u e_j = pi(X_j) u`` of the
+    quotient basis (the columns of ``quotient_coords``) span the commutant.
+    Only ``rep_matrices``, ``null_coords`` and ``quotient_coords`` are
+    read: O(n r^3) work, with no products in the ambient space.
     """
-    span, E = space.span, space.cyclic_basis
-    B, n, D, r = span.basis, span.dim, span.ambient_dim, space.gns_dim
-    V = (B @ space.state.factor).reshape(n, -1)
-    Ebar = E.conj().reshape(D, -1)
-    right = np.empty((n, r, n), dtype=complex)
-    for c in chunks(n, E.size, _budget(span)):
-        # conj(B_b^dag E) = B_b^T conj(E), so right[a, j, b] = <B_b^dag E_j, B_a L>
-        Y = (B[c].transpose(0, 2, 1) @ Ebar).reshape(-1, E.shape[0], r)
-        right[:, :, c] = (V @ Y).transpose(1, 2, 0)
-    Q = space.quotient_coords
-    cond = (right @ space.null_coords).reshape(n, -1).T
-    # The cut is relative to the whole map gamma -> right_gamma, not to the
-    # condition alone: where every gamma is allowed the condition is pure
-    # roundoff, and a cut relative to it would reject them all. With no
-    # null space the condition has no rows and needs no scale.
-    scale = np.linalg.norm(right.reshape(n, -1).T, 2) if cond.size else 0.0
+    rep, r = space.rep_matrices, space.gns_dim
+    cond = np.tensordot(space.null_coords, rep, axes=(0, 0)).reshape(-1, r)
+    # T_u xi = u, so u -> T_u has norm at least 1 and the cut is relative
+    # to 1 where the condition is smaller, e.g. pure roundoff or no rows
     s, vh = right_singular(cond)
-    allowed = vh[np.count_nonzero(s > rtol * scale):].conj()
-    images = np.tensordot(allowed, right @ Q, axes=(1, 0))
-    _, s, vh = np.linalg.svd(images.reshape(-1, r * r), full_matrices=False)
-    basis = vh[: np.count_nonzero(s > rtol * s[0])].reshape(-1, r, r)
-    return OperatorSpan(basis, rtol=rtol)
+    allowed = vh[np.count_nonzero(s > rtol * max(1.0, s[0])):].conj()
+    # pi_x[j] = pi(X_j), and T_u[i, j] = (pi(X_j) u)_i
+    pi_x = np.tensordot(space.quotient_coords, rep, axes=(0, 0))
+    images = (pi_x @ allowed.T).transpose(2, 1, 0)
+    return OperatorSpan(row_basis(images.reshape(-1, r * r), rtol).reshape(-1, r, r), rtol=rtol)
 
 
 def _commutant_center(space: GnsSpace, C: OperatorSpan, rtol: float) -> OperatorSpan:
@@ -385,8 +370,7 @@ def _commutant_center(space: GnsSpace, C: OperatorSpan, rtol: float) -> Operator
     orthogonal. The cut sits at 1/2.
     """
     r = space.gns_dim
-    _, s, vh = np.linalg.svd(space.rep_matrices.reshape(-1, r * r), full_matrices=False)
-    Cb, Ab = C.basis.reshape(C.dim, r * r), vh[: np.count_nonzero(s > rtol * s[0])]
+    Cb, Ab = C.basis.reshape(C.dim, r * r), row_basis(space.rep_matrices.reshape(-1, r * r), rtol)
     u, cosines, _ = np.linalg.svd(Cb.conj() @ Ab.T, full_matrices=False)
     return OperatorSpan((u[:, cosines > 0.5].T @ Cb).reshape(-1, r, r), rtol=rtol)
 
@@ -429,9 +413,10 @@ def isotypic_decompose(
     The component projections are the minimal projections of the center of
     the representation's commutant (equivalently, the minimal central
     projections of the algebra generated by the representation together
-    with its commutant). The commutant is the right multiplications that
-    preserve the null ideal, compressed to the quotient, and its center is
-    its intersection with the representation's span; the generic
+    with its commutant). The commutant is read off the GNS triple: each of
+    its elements is fixed by its value u on the cyclic vector, the allowed
+    u are those annihilated by the null classes, and its center is its
+    intersection with the representation's span; the generic
     :func:`gnsentropy.star_algebra.commutant` and ``center`` are their test
     oracles. Components come back sorted by descending irrep dimension,
     then multiplicity. No step is random: ``seed`` is accepted for

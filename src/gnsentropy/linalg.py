@@ -117,10 +117,9 @@ def hermitian_span_basis(mats: np.ndarray, rtol: float | None = None) -> np.ndar
     n, D = mats.shape[0], mats.shape[-1]
     adj = dagger(mats)
     cands = np.concatenate([0.5 * (mats + adj), -0.5j * (mats - adj)]).reshape(2 * n, D * D)
-    _, s, vh = np.linalg.svd(np.hstack([cands.real, cands.imag]), full_matrices=False)
-    keep = int(np.count_nonzero(s > rtol * s[0])) if s.size else 0
-    rows = vh[:keep, : D * D] + 1j * vh[:keep, D * D :]
-    return hermitize(rows.reshape(keep, D, D))
+    real = row_basis(np.hstack([cands.real, cands.imag]), rtol)
+    rows = real[:, : D * D] + 1j * real[:, D * D :]
+    return hermitize(rows.reshape(-1, D, D))
 
 
 def range_basis(P: np.ndarray) -> np.ndarray:
@@ -143,37 +142,25 @@ def eigh_null_split(M: np.ndarray, rtol: float | None = None):
     return vals, vecs, n_null
 
 
-def matrix_rank(A: np.ndarray, rtol: float | None = None) -> int:
-    """Numerical rank with a relative singular-value cut."""
-    rtol = DEFAULT_RTOL if rtol is None else rtol
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rtol * s[0]))
-
-
 def right_singular(A: np.ndarray, left: bool = False):
     """Singular values and all right singular vectors (rows of ``vh``) of A.
 
-    A tall A is first reduced to its triangular QR factor, so no rows x rows
-    left factor is ever formed. The values are descending and zero-padded
-    to the column count; ``vh`` is square. Returns ``(s, vh)``, or
-    ``(u, s, vh)`` with ``left=True``: ``u`` holds the min(rows, cols) left
-    singular vectors as columns, paired with the leading rows of ``vh``
-    (the QR's orthonormal factor times those of the triangular one).
+    A tall A takes the thin SVD, which already gives a square ``vh``, so no
+    rows x rows left factor is ever formed. The values are descending and
+    zero-padded to the column count; ``vh`` is square. Returns ``(s, vh)``,
+    or ``(u, s, vh)`` with ``left=True``: ``u`` holds the min(rows, cols)
+    left singular vectors as columns, paired with the leading rows of ``vh``.
     """
-    tall = A.shape[0] > A.shape[1]
-    if tall and left:
-        q, R = np.linalg.qr(A)
-    else:
-        R = np.linalg.qr(A, mode="r") if tall else A
-    u, s, vh = np.linalg.svd(R, full_matrices=True)
+    u, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     s = np.pad(s, (0, A.shape[1] - s.size))
-    if not left:
-        return s, vh
-    return (q @ u if tall else u), s, vh
+    return (u, s, vh) if left else (s, vh)
+
+
+def row_basis(A: np.ndarray, rtol: float) -> np.ndarray:
+    """Orthonormal rows spanning the numerical row space of A: the right
+    singular vectors whose singular value exceeds ``rtol`` times the largest."""
+    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    return vh[: np.count_nonzero(s > rtol * s.max(initial=0.0))]
 
 
 def chunks(n: int, item_size: int, budget: int) -> list[slice]:

@@ -32,8 +32,8 @@ from .linalg import (
     eigh_null_split,
     hermitian_span_basis,
     hs_norm,
-    matrix_rank,
     orthonormalize_rows,
+    row_basis,
 )
 
 #: Absolute tolerance when a computed block rank or multiplicity must
@@ -344,7 +344,7 @@ def commutant(rep_matrices, rtol: float | None = None) -> OperatorSpan:
     C^(r*r), assembled from Kronecker products) and takes its null space,
     so the result is exact for the full input set with no random choices.
     Always contains the identity. It costs O(r^6); a GNS representation
-    gets its commutant from right multiplications instead (see
+    gets its commutant from the GNS triple instead (see
     :func:`gnsentropy.gns.isotypic_decompose`), and this function is the
     oracle that route is tested against.
     """
@@ -441,7 +441,7 @@ def wedderburn(
     blocks = []
     for z in projs:
         corner = (z @ B @ z).reshape(n_dim, D * D)
-        block_dim = matrix_rank(corner, rtol=rtol)
+        block_dim = row_basis(corner, rtol).shape[0]
         n_k = _check_int(np.sqrt(block_dim), "sqrt(block dimension)")
         m_k = _check_int(float(np.trace(z).real) / n_k, "block multiplicity")
         blocks.append((n_k, m_k, z))

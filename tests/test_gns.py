@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -390,11 +391,13 @@ def test_purity_iff_trivial_commutant(presets):
 
 
 # ---------------------------------------------------------------------------
-# commutant from right multiplications, against the Kronecker oracle
+# commutant from the GNS triple, against the Kronecker oracle
 
 
 def assert_commutant_matches_oracle(space):
-    got = _quotient_commutant(space, space.rtol)
+    # the GNS triple fixes the commutant: no span, state or ambient basis
+    triple = dataclasses.replace(space, span=None, state=None, cyclic_basis=None)
+    got = _quotient_commutant(triple, space.rtol)
     want = commutant(list(space.rep_matrices))
     assert got.dim == want.dim
     gap = np.linalg.norm(bf.span_projector(got.basis) - bf.span_projector(want.basis), 2)
@@ -441,6 +444,34 @@ def test_quotient_commutant_matches_oracle_on_tensor_frames(k, m, rng_seed):
     gen, psi, _ = bf.random_tensor_factor(np.random.default_rng(rng_seed), k, m)
     span = span_closure([gen], include_unit=True)
     assert_commutant_matches_oracle(build_gns(span, AlgebraState(vector=psi)))
+
+
+def test_quotient_commutant_matches_oracle_on_hecke_n4_with_a_full_rank_density():
+    span = span_closure(bf.hecke_generators(4, 1.7), include_unit=True)
+    rng = np.random.default_rng(796)
+    X = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    space = build_gns(span, AlgebraState(density=X @ X.conj().T, normalize=True))
+    assert space.null_dim == 0
+    assert_commutant_matches_oracle(space)
+
+
+def test_isotypic_weights_do_not_depend_on_the_quotient_basis_order(presets):
+    # sin^2 theta = 1.6e-10: the weights span ten decades, and a commutant
+    # whose roundoff follows the quotient basis order misplaces the small one
+    span, family = presets["ex4_left"]
+    s2 = 1.6e-10
+    space = build_gns(span, family.state({"theta": float(np.arcsin(np.sqrt(s2)))}))
+    flipped = dataclasses.replace(
+        space,
+        quotient_coords=space.quotient_coords[:, ::-1],
+        cyclic_basis=space.cyclic_basis[:, ::-1],
+        rep_matrices=space.rep_matrices[:, ::-1, ::-1],
+        cyclic_vector=space.cyclic_vector[::-1],
+    )
+    for sp in (space, flipped):
+        weights = isotypic_decompose(sp).flattened_weights()
+        assert abs(weights.min() - s2) <= 1e-14
+        assert abs(weights.sum() - 1.0) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
