@@ -213,9 +213,6 @@ def sweep_scenario(spec: dict, param: str, start: float, stop: float, steps: int
     else:
         grid = np.linspace(start, stop, steps)
     base = dict(meta["parameters"])
-    blocks = None
-    if meta["method"] in ("wedderburn", "both"):
-        blocks = wedderburn(span, seed=meta["seed"], rtol=meta["rtol"])
     header = [param, "entropy_nats", "entropy_bits", "gns_dim", "null_dim"]
     rows = []
     for value in grid:
@@ -223,8 +220,7 @@ def sweep_scenario(spec: dict, param: str, start: float, stop: float, steps: int
         params[param] = float(value)
         state = family.state(params)
         report = restriction_entropy(
-            span, state, method=meta["method"], seed=meta["seed"],
-            rtol=meta["rtol"], blocks=blocks,
+            span, state, method=meta["method"], seed=meta["seed"], rtol=meta["rtol"]
         )
         rows.append([
             _fmt(value),
@@ -256,9 +252,6 @@ def grid_rows(resolution: int, extent: float = 2.0, method: str = "both",
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     span, family = example_generators("ex5_bosons")
-    blocks = None
-    if method in ("wedderburn", "both"):
-        blocks = wedderburn(span, seed=seed, rtol=rtol)
     axis = np.linspace(-extent, extent, resolution)
     header = ["x", "y", "entropy"]
     rows = []
@@ -266,9 +259,7 @@ def grid_rows(resolution: int, extent: float = 2.0, method: str = "both",
         for y in axis:
             theta, phi = plane_to_angles(float(x), float(y))
             state = family.state(theta=theta, phi=phi)
-            report = restriction_entropy(
-                span, state, method=method, seed=seed, rtol=rtol, blocks=blocks
-            )
+            report = restriction_entropy(span, state, method=method, seed=seed, rtol=rtol)
             rows.append([_fmt(x), _fmt(y), _fmt(report.entropy_nats)])
     return header, rows
 
@@ -388,19 +379,16 @@ def run_example(number: int, seed: int = 0) -> tuple[list[str], bool]:
             (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2),
             (np.pi / 2, np.pi), (np.pi / 2, 3 * np.pi / 2),
         ]
-        blocks = wedderburn(span, seed=seed)
         for theta, phi in axis_points:
-            rep = restriction_entropy(span, family.state(theta=theta, phi=phi),
-                                      seed=seed, blocks=blocks)
+            rep = restriction_entropy(span, family.state(theta=theta, phi=phi), seed=seed)
             g.check(f"entropy vanishes at axis point (theta={theta:.3g}, phi={phi:.3g})",
                     rep.entropy_nats < 1e-9, f"entropy {rep.entropy_nats:.3e}")
-        rep = restriction_entropy(span, family.state(theta=1.0, phi=0.8),
-                                  seed=seed, blocks=blocks)
+        rep = restriction_entropy(span, family.state(theta=1.0, phi=0.8), seed=seed)
         g.close("two-boson entropy at (theta, phi)=(1.0, 0.8)",
                 rep.entropy_nats, _ex5_entropy(1.0, 0.8), 1e-9)
         theta_sym = float(np.arccos(1.0 / np.sqrt(3.0)))
         rep = restriction_entropy(span, family.state(theta=theta_sym, phi=np.pi / 4),
-                                  seed=seed, blocks=blocks)
+                                  seed=seed)
         g.close("maximal mixing at the symmetric point",
                 rep.entropy_nats, float(np.log(3.0)), 1e-9)
     return g.lines, g.ok

@@ -119,6 +119,28 @@ class DensityElement:
         return np.sort(w[w > tol])[::-1]
 
 
+def _block_trace_system(span: OperatorSpan, blocks: WedderburnData):
+    """The state-independent half of :func:`density_element`.
+
+    Returns ``(T, ranges)``: the moment matrix ``T[a, c] = Tr_W(B_c B_a)``
+    and an orthonormal basis of each projection's range. Cached on the span
+    for the last ``blocks`` it was built for, so a sweep over states on one
+    span builds it once.
+    """
+    cached = span._block_trace
+    if cached is None or cached[0] is not blocks:
+        B, n = span.basis, span.dim
+        omega_weights = sum(
+            z / m for z, m in zip(blocks.projections, blocks.multiplicities)
+        )
+        # T[a, c] = trace(W B_c B_a) with W the block-trace weights
+        T = B.transpose(0, 2, 1).reshape(n, -1) @ (omega_weights @ B).reshape(n, -1).T
+        cached = span._block_trace = (
+            blocks, T, tuple(range_basis(z) for z in blocks.projections)
+        )
+    return cached[1], cached[2]
+
+
 def density_element(
     span: OperatorSpan,
     blocks: WedderburnData,
@@ -131,16 +153,14 @@ def density_element(
     linear system has a unique solution; Hermiticity follows and is
     checked. Block spectra are read off the compression of ``Drho`` to
     each projection range: eigenvalues come in groups of size m_k, and one
-    representative per group is kept.
+    representative per group is kept. The moment matrix of ``Tr_W`` and
+    the range bases do not depend on the state: they are built once per
+    (span, blocks) and cached on the span, so per state only the moments
+    ``omega(B_a)``, the solve and the block compressions are computed.
     """
     rtol = span.rtol if rtol is None else rtol
     B = span.basis
-    n = span.dim
-    omega_weights = sum(
-        z / m for z, m in zip(blocks.projections, blocks.multiplicities)
-    )
-    # T[a, c] = trace(W B_c B_a) with W the block-trace weights
-    T = B.transpose(0, 2, 1).reshape(n, -1) @ (omega_weights @ B).reshape(n, -1).T
+    T, ranges = _block_trace_system(span, blocks)
     y = state.values(B)
     try:
         coeffs = np.linalg.solve(T, y)
@@ -156,8 +176,7 @@ def density_element(
     D_mat = hermitize(D_mat)
 
     spectra = []
-    for z, n_k, m_k in zip(blocks.projections, blocks.block_ranks, blocks.multiplicities):
-        V = range_basis(z)
+    for V, n_k, m_k in zip(ranges, blocks.block_ranks, blocks.multiplicities):
         comp = hermitize(dagger(V) @ D_mat @ V)
         vals = np.linalg.eigvalsh(comp)
         if vals.size != n_k * m_k:
@@ -211,12 +230,12 @@ class RestrictionReport:
 
 def spectra_agree(a: np.ndarray, b: np.ndarray, tol: float = ORACLE_TOL) -> bool:
     """Multiset comparison of two spectra, padding the shorter with zeros."""
-    a = np.sort(np.asarray(a, dtype=float))[::-1]
-    b = np.sort(np.asarray(b, dtype=float))[::-1]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     size = max(a.size, b.size)
-    a = np.pad(a, (0, size - a.size))
-    b = np.pad(b, (0, size - b.size))
-    return bool(size == 0 or np.abs(a - b).max() <= tol)
+    padded = np.zeros((2, size))
+    padded[0, : a.size] = np.sort(a)[::-1]
+    padded[1, : b.size] = np.sort(b)[::-1]
+    return bool(size == 0 or np.abs(padded[0] - padded[1]).max() <= tol)
 
 
 def restriction_entropy(
@@ -237,8 +256,9 @@ def restriction_entropy(
         as multisets within ``oracle_tol`` or :class:`OracleMismatchError`
         is raised.
     blocks : WedderburnData, optional
-        Precomputed block decomposition of ``span`` (it does not depend on
-        the state, so sweeps should share one).
+        Block decomposition of ``span``. When omitted it comes from
+        :func:`gnsentropy.star_algebra.wedderburn`, which caches it on the
+        span, so a loop over states on one span computes it once either way.
     seed : int
         Recorded on the report; no step is random, so it has no effect.
     """
@@ -270,8 +290,10 @@ def restriction_entropy(
                 f"{spectrum_gns!r} vs {spectrum_blocks!r}"
             )
 
+    s_gns = von_neumann_entropy(spectrum_gns) if spectrum_gns is not None else None
+    s_blocks = von_neumann_entropy(spectrum_blocks) if spectrum_blocks is not None else None
     spectrum = spectrum_gns if spectrum_gns is not None else spectrum_blocks
-    s_nats = von_neumann_entropy(spectrum)
+    s_nats = s_gns if s_gns is not None else s_blocks
     report = RestrictionReport(
         method=method,
         entropy_nats=s_nats,
@@ -290,8 +312,8 @@ def restriction_entropy(
                 dens.blocks.block_ranks, dens.blocks.multiplicities, dens.block_spectra
             )
         ) if dens is not None else None,
-        entropy_nats_gns=von_neumann_entropy(spectrum_gns) if spectrum_gns is not None else None,
-        entropy_nats_blocks=von_neumann_entropy(spectrum_blocks) if spectrum_blocks is not None else None,
+        entropy_nats_gns=s_gns,
+        entropy_nats_blocks=s_blocks,
         methods_agree=agree,
         seed=seed,
         gns=gns_space,

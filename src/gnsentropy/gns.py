@@ -418,9 +418,12 @@ def isotypic_decompose(
     u are those annihilated by the null classes, and its center is its
     intersection with the representation's span; the generic
     :func:`gnsentropy.star_algebra.commutant` and ``center`` are their test
-    oracles. Components come back sorted by descending irrep dimension,
-    then multiplicity. No step is random: ``seed`` is accepted for
-    compatibility, recorded on the result and has no effect.
+    oracles. Each multiplicity is the square root of the dimension of the
+    commutant's corner at the component; when the center is the whole
+    commutant every multiplicity is 1 and no corner is formed. Components
+    come back sorted by descending irrep dimension, then multiplicity. No
+    step is random: ``seed`` is accepted for compatibility, recorded on the
+    result and has no effect.
     """
     rtol = space.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
@@ -428,17 +431,22 @@ def isotypic_decompose(
         raise ValueError("GNS space is zero-dimensional")
     C = _quotient_commutant(space, rtol)
     Z = _commutant_center(space, C, rtol)
+    # one component per dimension of Z and sum m_k^2 = dim C, so equal
+    # dimensions mean every multiplicity is 1 and every corner is C P
+    multiplicity_free = Z.dim == C.dim
     cyclic = space.cyclic_vector
     components = []
     for P in minimal_projections(Z, cluster_tol=cluster_tol):
         t = int(round(float(np.trace(P).real)))
-        corner = _corner_span(P, C, rtol)
-        m_sq = corner.shape[0]
-        m_k = int(round(np.sqrt(m_sq)))
-        if m_k * m_k != m_sq:
-            raise DecompositionError(
-                f"commutant corner dimension {m_sq} is not a perfect square"
-            )
+        m_k = 1
+        if not multiplicity_free:
+            corner = _corner_span(P, C, rtol)
+            m_sq = corner.shape[0]
+            m_k = int(round(np.sqrt(m_sq)))
+            if m_k * m_k != m_sq:
+                raise DecompositionError(
+                    f"commutant corner dimension {m_sq} is not a perfect square"
+                )
         if t % m_k != 0:
             raise DecompositionError(
                 f"component dimension {t} not divisible by multiplicity {m_k}"

@@ -152,8 +152,9 @@ def right_singular(A: np.ndarray, left: bool = False):
     left singular vectors as columns, paired with the leading rows of ``vh``.
     """
     u, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    s = np.pad(s, (0, A.shape[1] - s.size))
-    return (u, s, vh) if left else (s, vh)
+    padded = np.zeros(A.shape[1])
+    padded[: s.size] = s
+    return (u, padded, vh) if left else (padded, vh)
 
 
 def row_basis(A: np.ndarray, rtol: float) -> np.ndarray:

@@ -17,6 +17,7 @@ products.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,14 @@ class OperatorSpan:
     coefficient vectors therefore carry the same inner product as the
     matrices they represent.
 
+    Data that depends on the span alone is computed on first use and cached
+    on the instance, so it lives as long as the span does: the unit check
+    (:attr:`unit_coords`, :attr:`has_unit`), :meth:`structure_constants`,
+    :meth:`closure_residual`, :meth:`adjoint_coords`, :func:`wedderburn`
+    per tolerance pair, and the block-trace system that
+    :func:`gnsentropy.entropy.density_element` builds for the last
+    Wedderburn data it was given.
+
     Parameters
     ----------
     basis : ndarray, shape (n, D, D)
@@ -75,17 +84,26 @@ class OperatorSpan:
         if self.generators is not None:
             self.generators.setflags(write=False)
         self.rtol = DEFAULT_RTOL if rtol is None else rtol
-        eye = np.eye(self.ambient_dim)
-        self.unit_coords = self.coords(eye)
-        self.has_unit = bool(
-            hs_norm(eye - self.reconstruct(self.unit_coords))
-            <= self.rtol * hs_norm(eye)
-        )
-        if not self.has_unit:
-            self.unit_coords = None
         self._structure: tuple[np.ndarray, float] | None = None
         self._closure: float | None = None
         self._adjoint: tuple[np.ndarray, float] | None = None
+        self._wedderburn: dict[tuple[float, float], WedderburnData] = {}
+        self._block_trace: tuple | None = None
+
+    @cached_property
+    def unit_coords(self) -> np.ndarray | None:
+        """Coefficients of the ambient identity, or None when the span misses it.
+
+        Computed on first read of this, :attr:`has_unit` or :meth:`unit`.
+        """
+        eye = np.eye(self.ambient_dim)
+        coords = self.coords(eye)
+        inside = hs_norm(eye - self.reconstruct(coords)) <= self.rtol * hs_norm(eye)
+        return coords if inside else None
+
+    @property
+    def has_unit(self) -> bool:
+        return self.unit_coords is not None
 
     @property
     def dim(self) -> int:
@@ -392,6 +410,8 @@ def minimal_projections(
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
     want = commutative.dim
     ranges = [np.eye(commutative.ambient_dim, dtype=complex)]
+    if want == 1:
+        return ranges
     gap = np.inf
     for h in commutative.hermitian_basis():
         if len(ranges) >= want:
@@ -425,8 +445,17 @@ def wedderburn(
     ``trace(z_k) / n_k``, both checked to be integers. Blocks are sorted by
     descending rank, then multiplicity, then refinement order. ``seed`` is
     accepted for compatibility and has no effect: no step is random.
+
+    The result depends on the span and the resolved ``rtol`` and
+    ``cluster_tol`` alone, so it is cached on the span under that pair:
+    repeated calls return the same object, whose ``projections`` are
+    read-only. A call that raises caches nothing.
     """
     rtol = span.rtol if rtol is None else rtol
+    cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
+    cached = span._wedderburn.get((rtol, cluster_tol))
+    if cached is not None:
+        return cached
     if not span.has_unit:
         raise ValueError("wedderburn requires a unital span")
     _, adj_resid = span.adjoint_coords()
@@ -446,14 +475,17 @@ def wedderburn(
         m_k = _check_int(float(np.trace(z).real) / n_k, "block multiplicity")
         blocks.append((n_k, m_k, z))
     blocks.sort(key=lambda b: (-b[0], -b[1]))
+    projections = np.array([b[2] for b in blocks])
+    projections.setflags(write=False)
     data = WedderburnData(
-        projections=np.array([b[2] for b in blocks]),
+        projections=projections,
         block_ranks=tuple(b[0] for b in blocks),
         multiplicities=tuple(b[1] for b in blocks),
         center_dim=Z.dim,
     )
-    if span.has_unit and sum(data.block_dims) != span.dim:
+    if sum(data.block_dims) != span.dim:
         raise DecompositionError(
             f"block dimensions {data.block_dims} do not add up to span dim {span.dim}"
         )
+    span._wedderburn[rtol, cluster_tol] = data
     return data

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from gnsentropy.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
+    grid_rows,
     main,
     parse_matrix,
     parse_vector,
@@ -310,6 +313,31 @@ def test_grid_single_method_routes(capsys):
     _, out_g, _ = run_cli(capsys, "grid", "--resolution", "3", "--method", "gns")
     for row_w, row_g in zip(out_w.splitlines()[1:], out_g.splitlines()[1:]):
         assert abs(float(row_w.split(",")[2]) - float(row_g.split(",")[2])) < 1e-9
+
+
+def test_grid_calls_retain_no_memory():
+    """Per-span caches die with their span: repeated grid calls keep nothing.
+
+    Each call builds its own span, Wedderburn data and block-trace system;
+    keeping those alive costs about 29 KB a call (2.6 KB for the Wedderburn
+    data alone), while allocator free lists hold under 20 KB in all over
+    the 20 measured calls.
+    """
+    for _ in range(10):
+        grid_rows(resolution=3)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            grid_rows(resolution=3)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            grid_rows(resolution=3)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 20 * 1500
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ from gnsentropy import (
     von_neumann_entropy,
     wedderburn,
 )
+from gnsentropy import entropy
+from gnsentropy.cli import plane_to_angles
 from gnsentropy.entropy import LN2
+from gnsentropy.fock import example_generators
 
 import bruteforce as bf
 
@@ -160,6 +163,30 @@ def test_block_trace_moments_reproduce_the_state(preset_cases, preset_blocks):
                         optimize=True)
         want = state.values(span.basis)
         assert np.abs(got - want).max() < 1e-9
+
+
+def test_density_element_builds_the_block_trace_once_per_span(monkeypatch):
+    calls = []
+    real_range_basis = entropy.range_basis
+    monkeypatch.setattr(entropy, "range_basis",
+                        lambda P: calls.append(1) or real_range_basis(P))
+    span, family = example_generators("ex5_bosons")
+    blocks = wedderburn(span)
+    axis = np.linspace(-2.0, 2.0, 7)
+    states = [family.state(dict(zip(("theta", "phi"), plane_to_angles(x, y))))
+              for x in axis for y in axis]
+    reused = []
+    for state in states:
+        reused.append(density_element(span, blocks, state))
+        assert len(calls) == blocks.n_blocks
+    density_element(span, wedderburn(span, rtol=1e-11), states[0])
+    assert len(calls) == 2 * blocks.n_blocks
+    monkeypatch.undo()
+    for state, dens in zip(states, reused):
+        fresh_span, _ = example_generators("ex5_bosons")
+        fresh = density_element(fresh_span, wedderburn(fresh_span), state)
+        assert np.array_equal(dens.matrix, fresh.matrix)
+        assert all(np.array_equal(a, b) for a, b in zip(dens.block_spectra, fresh.block_spectra))
 
 
 def test_density_element_lies_in_the_span(preset_cases, preset_blocks):

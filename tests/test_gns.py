@@ -18,6 +18,8 @@ from gnsentropy import (
     restriction_entropy,
     span_closure,
 )
+from gnsentropy import gns
+from gnsentropy.cli import grid_rows
 from gnsentropy.fock import PAULI
 from gnsentropy.gns import _commutant_center, _quotient_commutant
 
@@ -558,3 +560,31 @@ def test_hermitian_basis_repros_pass_both_routes(k, m, s):
     rep = restriction_entropy(span, AlgebraState(vector=psi), method="both", seed=s)
     assert rep.methods_agree
     assert np.abs(np.sort(rep.spectrum) - np.sort(weights)).max() < 1e-8
+
+
+def _count_corner_spans(monkeypatch):
+    calls = []
+    real = gns._corner_span
+    monkeypatch.setattr(gns, "_corner_span", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_multiplicity_free_commutant_forms_no_corner(monkeypatch):
+    calls = _count_corner_spans(monkeypatch)
+    _, rows = grid_rows(resolution=5, method="gns")
+    assert len(rows) == 25
+    assert calls == []
+
+
+def test_corners_are_formed_when_a_multiplicity_exceeds_one(monkeypatch):
+    calls = _count_corner_spans(monkeypatch)
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    rep = restriction_entropy(full_matrix_algebra(4), AlgebraState(density=rho), method="gns")
+    assert rep.components == ((4, 4, pytest.approx(1.0)),)
+    assert len(calls) == 1
+    gen, psi, weights = bf.random_tensor_factor(np.random.default_rng(3), 3, 2)
+    rep = restriction_entropy(span_closure([gen], include_unit=True), AlgebraState(vector=psi),
+                              method="gns")
+    assert rep.components[0][1] == 2
+    assert np.abs(np.sort(rep.spectrum) - np.sort(weights)).max() < 1e-8
+    assert len(calls) == 2

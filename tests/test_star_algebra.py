@@ -17,7 +17,9 @@ from gnsentropy import (
     span_closure,
     wedderburn,
 )
-from gnsentropy.fock import EX5_BLOCKS, PAULI
+from gnsentropy import DecompositionError, star_algebra
+from gnsentropy.fock import EX5_BLOCKS, PAULI, example_generators
+from gnsentropy.linalg import CLUSTER_TOL
 from gnsentropy.star_algebra import minimal_projections
 
 import bruteforce as bf
@@ -481,17 +483,64 @@ def test_wedderburn_is_seed_independent_up_to_ordering(presets):
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_wedderburn_projections_do_not_depend_on_seed(presets, name):
-    span, _ = presets[name]
-    a = wedderburn(span, seed=0)
+def test_wedderburn_projections_do_not_depend_on_seed(name):
+    # a fresh span per seed, so the per-span cache cannot answer the repeats
+    a = wedderburn(example_generators(name)[0], seed=0)
     for seed in (7, 12345):
-        b = wedderburn(span, seed=seed)
+        b = wedderburn(example_generators(name)[0], seed=seed)
+        assert b is not a
         assert np.array_equal(a.projections, b.projections)
         assert a.block_table() == b.block_table()
 
 
-def test_minimal_projection_of_scalars_is_the_identity():
+def test_unit_check_runs_on_first_read():
+    span = full_matrix_algebra(3)
+    assert "unit_coords" not in vars(span)
+    assert span.has_unit
+    assert "unit_coords" in vars(span)
+    corner = OperatorSpan(span.basis[:1])
+    assert not corner.has_unit and corner.unit_coords is None
+    with pytest.raises(ValueError):
+        corner.unit()
+
+
+def test_wedderburn_is_cached_per_tolerance_pair():
+    span, _ = example_generators("ex4_left")
+    a = wedderburn(span)
+    assert wedderburn(span, seed=7) is a
+    assert wedderburn(span, rtol=span.rtol, cluster_tol=CLUSTER_TOL) is a
+    b = wedderburn(span, rtol=1e-11)
+    c = wedderburn(span, cluster_tol=1e-9)
+    assert b is not a and c is not a and b is not c
+    assert wedderburn(span, rtol=1e-11) is b
+    assert np.array_equal(a.projections, b.projections)
+    assert not a.projections.flags.writeable
+    with pytest.raises(ValueError):
+        a.projections[0, 0, 0] = 1.0
+
+
+def test_failed_wedderburn_is_not_cached(monkeypatch):
+    span, _ = example_generators("ex5_bosons")
+    calls = []
+    real_center = star_algebra.center
+    monkeypatch.setattr(star_algebra, "center", lambda *a, **k: calls.append(1) or real_center(*a, **k))
+    for attempt in (1, 2):
+        # no two center eigenvalues are 10 apart, so the refinement never splits
+        with pytest.raises(DecompositionError):
+            wedderburn(span, cluster_tol=10.0)
+        assert len(calls) == attempt
+    wedderburn(span)
+    wedderburn(span)
+    assert len(calls) == 3
+
+
+def test_minimal_projection_of_scalars_is_the_identity(monkeypatch):
     span = span_closure([], include_unit=True, ambient_dim=4)
+
+    def no_basis(self):
+        raise AssertionError("a dim-1 span needs no Hermitian basis")
+
+    monkeypatch.setattr(OperatorSpan, "hermitian_basis", no_basis)
     (P,) = minimal_projections(span)
     assert np.array_equal(P, np.eye(4))
 
