@@ -23,11 +23,11 @@ quotient coordinates, inside the r-dimensional quotient, with no
 Kronecker solve, no products with the span's basis and no data from the
 block route. Its center is its intersection with the span of the
 representation (its own bicommutant), found from principal angles with no
-commutators. Inside a component of multiplicity m the state weight spreads
+commutators. A component's multiplicity m is read off a trace, as the
+square root of the dimension of the commutant's corner. Its weight spreads
 over m Schmidt directions: the refined weights are the spectrum of the
-cyclic vector's state on the commutant corner, read off the projection of
-its rank-one projector onto that corner, with no choice of irreducible
-summands and no random draws.
+cyclic vector's state on that corner, its rank-one projector projected onto
+the commutant and compressed to the component, with no random draws.
 
 The representation's products are streamed in chunks of the span's
 basis, so no intermediate holds more than the n*D^2 + n^3 numbers of the
@@ -50,6 +50,8 @@ from .linalg import (
     NULL_FLOOR,
     PSD_TOL,
     RESULT_TOL,
+    check_int,
+    check_square,
     chunks,
     dagger,
     eigh_null_split,
@@ -325,13 +327,6 @@ class IsotypicDecomposition:
         return np.concatenate([c.refined_weights for c in self.components])
 
 
-def _corner_span(P: np.ndarray, span: OperatorSpan, rtol: float) -> np.ndarray:
-    """Orthonormal basis of ``P span P`` as a matrix stack, cut by one SVD
-    (a row-by-row Gram-Schmidt cut can keep roundoff leaked from elsewhere)."""
-    d = P.shape[0]
-    return row_basis((P @ span.basis @ P).reshape(span.dim, -1), rtol).reshape(-1, d, d)
-
-
 def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
     """Commutant of the GNS representation, from the GNS triple alone.
 
@@ -376,20 +371,21 @@ def _commutant_center(space: GnsSpace, C: OperatorSpan, rtol: float) -> Operator
 
 
 def _refined_weights(
-    P: np.ndarray, corner: np.ndarray, cyclic: np.ndarray, n_k: int, m_k: int
+    P: np.ndarray, commutant: np.ndarray, cyclic: np.ndarray, n_k: int, m_k: int
 ) -> np.ndarray:
     """Schmidt weights of the cyclic vector inside one isotypic component.
 
     On the range of ``P`` the representation acts as ``M_n (x) 1_m`` and
-    the commutant corner as ``1_n (x) M_m``. The Hilbert-Schmidt projection
-    of ``|v><v|`` (``v = P cyclic``) onto the orthonormal corner basis is
-    the trace-preserving conditional expectation ``1_n (x) sigma / n``,
-    with ``sigma`` the state of ``v`` on the corner: its eigenvalues come
-    in m groups of n equal values, and n times each group value is a weight.
+    the commutant's corner as ``1_n (x) M_m``. The Hilbert-Schmidt
+    projection of ``|v><v|`` (``v = P cyclic``) onto that corner is the
+    trace-preserving conditional expectation ``1_n (x) sigma / n``, with
+    ``sigma`` the state of ``v`` on the corner: its eigenvalues come in m
+    groups of n equal values, and n times each group value is a weight.
+    ``P`` is central in the commutant (orthonormal basis ``commutant``), so
+    that is the projection onto the whole commutant, compressed to ``P``.
     """
-    v = P @ cyclic
-    # <c_b, |v><v|> = conj(<v| c_b |v>)
-    Y = np.tensordot(((corner @ v) @ v.conj()).conj(), corner, axes=(0, 0))
+    # <C_j, |xi><xi|> = conj(<xi| C_j |xi>)
+    Y = np.tensordot(((commutant @ cyclic) @ cyclic.conj()).conj(), commutant, axes=(0, 0))
     V = range_basis(P)
     vals = np.linalg.eigvalsh(hermitize(dagger(V) @ Y @ V))[::-1]
     groups = vals.reshape(m_k, n_k)
@@ -419,9 +415,9 @@ def isotypic_decompose(
     intersection with the representation's span; the generic
     :func:`gnsentropy.star_algebra.commutant` and ``center`` are their test
     oracles. Each multiplicity is the square root of the dimension of the
-    commutant's corner at the component; when the center is the whole
-    commutant every multiplicity is 1 and no corner is formed. Components
-    come back sorted by descending irrep dimension, then multiplicity. No
+    commutant's corner at the component, read off a trace
+    (:meth:`OperatorSpan.corner_dims`). Components come back sorted by
+    descending irrep dimension, then multiplicity. No
     step is random: ``seed`` is accepted for compatibility, recorded on the
     result and has no effect.
     """
@@ -431,32 +427,18 @@ def isotypic_decompose(
         raise ValueError("GNS space is zero-dimensional")
     C = _quotient_commutant(space, rtol)
     Z = _commutant_center(space, C, rtol)
-    # one component per dimension of Z and sum m_k^2 = dim C, so equal
-    # dimensions mean every multiplicity is 1 and every corner is C P
-    multiplicity_free = Z.dim == C.dim
     cyclic = space.cyclic_vector
+    projs = minimal_projections(Z, cluster_tol=cluster_tol)
     components = []
-    for P in minimal_projections(Z, cluster_tol=cluster_tol):
-        t = int(round(float(np.trace(P).real)))
-        m_k = 1
-        if not multiplicity_free:
-            corner = _corner_span(P, C, rtol)
-            m_sq = corner.shape[0]
-            m_k = int(round(np.sqrt(m_sq)))
-            if m_k * m_k != m_sq:
-                raise DecompositionError(
-                    f"commutant corner dimension {m_sq} is not a perfect square"
-                )
-        if t % m_k != 0:
-            raise DecompositionError(
-                f"component dimension {t} not divisible by multiplicity {m_k}"
-            )
-        n_k = t // m_k
+    for P, corner_dim in zip(projs, C.corner_dims(projs)):
+        t = check_int(np.trace(P).real, "component dimension")
+        m_k = check_square(corner_dim, "commutant corner dimension")
+        n_k = check_int(t / m_k, f"component dimension {t} / multiplicity {m_k}")
         w_k = float(np.vdot(cyclic, P @ cyclic).real)
         if m_k == 1:
             refined = np.array([w_k])
         else:
-            refined = _refined_weights(P, corner, cyclic, n_k, m_k)
+            refined = _refined_weights(P, C.basis, cyclic, n_k, m_k)
             if abs(refined.sum() - w_k) > RESULT_TOL * max(w_k, 1.0):
                 raise DecompositionError(
                     f"refined weights sum to {refined.sum()!r}, expected {w_k!r}"

@@ -11,7 +11,11 @@ times the largest eigenvalue or singular value of the matrix being cut.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import DecompositionError
 
 #: Relative threshold for rank / null-space decisions.
 DEFAULT_RTOL = 1e-10
@@ -40,6 +44,9 @@ NULL_FLOOR = 1e-24
 #: A product or adjoint closure residual may exceed the rank cut by this
 #: factor before a span counts as not closed.
 CLOSURE_SLACK = 1e3
+
+#: How far a dimension or multiplicity reading may sit from an integer.
+INTEGER_TOL = 1e-6
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -181,3 +188,19 @@ def eig_clusters(vals: np.ndarray, tol: float) -> list[slice]:
             start = i
     slices.append(slice(start, len(vals)))
     return slices
+
+
+def check_int(value: float, what: str) -> int:
+    """A reading rounded to a positive integer; DecompositionError if it is not one."""
+    value = float(value)
+    if not math.isfinite(value) or abs(value - round(value)) > INTEGER_TOL or round(value) <= 0:
+        raise DecompositionError(f"{what} = {value!r} is not a positive integer")
+    return round(value)
+
+
+def check_square(value: float, what: str) -> int:
+    """The square root of a reading that :func:`check_int` rounds to a perfect square."""
+    root = math.isqrt(check_int(value, what))
+    if root * root != round(value):
+        raise DecompositionError(f"{what} = {float(value)!r} is not a perfect square")
+    return root

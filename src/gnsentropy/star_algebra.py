@@ -7,7 +7,7 @@ here close spans under products and adjoints, compute centers (commuting
 with the seeds, else with the basis) and commutants as null spaces of
 commutator maps, and split a unital *-closed span into its irreducible
 matrix blocks by jointly refining the eigenspaces of a Hermitian basis of
-the center.
+the center, and reading each block's dimension off a trace.
 
 Every function is pure and deterministic and makes no random draws; basis
 ordering is fixed by input order plus a deterministic enumeration of
@@ -27,6 +27,8 @@ from .linalg import (
     CLUSTER_TOL,
     DEFAULT_RTOL,
     as_square,
+    check_int,
+    check_square,
     chunks,
     dagger,
     eig_clusters,
@@ -34,12 +36,7 @@ from .linalg import (
     hermitian_span_basis,
     hs_norm,
     orthonormalize_rows,
-    row_basis,
 )
-
-#: Absolute tolerance when a computed block rank or multiplicity must
-#: round to an integer.
-INTEGER_TOL = 1e-6
 
 
 class OperatorSpan:
@@ -123,6 +120,14 @@ class OperatorSpan:
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coeffs, dtype=complex), self.basis, axes=(0, 0))
+
+    def corner_dims(self, projections) -> np.ndarray:
+        """``Re trace(z K)``, ``K = sum_a B_a B_a^dag``: dim zA for each z central in
+        this *-closed span A, as X -> zX is the HS-orthogonal projection onto zA
+        (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27, 2010)."""
+        stacked = np.concatenate(self.basis, axis=1)  # [B_0 | B_1 | ...], D x nD
+        K = stacked @ stacked.conj().T
+        return np.array([np.vdot(z, K).real for z in projections])
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return self.reconstruct(self.coords(X))
@@ -386,13 +391,6 @@ def commutant(rep_matrices, rtol: float | None = None) -> OperatorSpan:
     return OperatorSpan(basis, rtol=rtol)
 
 
-def _check_int(value: float, what: str) -> int:
-    rounded = int(round(value))
-    if abs(value - rounded) > INTEGER_TOL or rounded <= 0:
-        raise DecompositionError(f"{what} = {value!r} is not a positive integer")
-    return rounded
-
-
 def minimal_projections(
     commutative: OperatorSpan, cluster_tol: float | None = None
 ) -> list[np.ndarray]:
@@ -440,11 +438,11 @@ def wedderburn(
     """Block decomposition of a unital *-closed span into matrix algebras.
 
     The minimal central projections come from :func:`minimal_projections`
-    applied to :func:`center`; each block rank is read off as the square
-    root of the corner span dimension and the ambient multiplicity as
-    ``trace(z_k) / n_k``, both checked to be integers. Blocks are sorted by
-    descending rank, then multiplicity, then refinement order. ``seed`` is
-    accepted for compatibility and has no effect: no step is random.
+    applied to :func:`center`; each block dimension n_k^2 is read off a
+    trace (:meth:`OperatorSpan.corner_dims`) and checked to be a perfect
+    square, and the multiplicity ``trace(z_k) / n_k`` to be an integer.
+    Blocks are sorted by descending rank, then multiplicity, then refinement
+    order. ``seed`` is accepted and has no effect: no step is random.
 
     The result depends on the span and the resolved ``rtol`` and
     ``cluster_tol`` alone, so it is cached on the span under that pair:
@@ -465,14 +463,10 @@ def wedderburn(
         )
     Z = center(span, rtol=rtol)
     projs = minimal_projections(Z, cluster_tol=cluster_tol)
-    B = span.basis
-    n_dim, D = span.dim, span.ambient_dim
     blocks = []
-    for z in projs:
-        corner = (z @ B @ z).reshape(n_dim, D * D)
-        block_dim = row_basis(corner, rtol).shape[0]
-        n_k = _check_int(np.sqrt(block_dim), "sqrt(block dimension)")
-        m_k = _check_int(float(np.trace(z).real) / n_k, "block multiplicity")
+    for z, block_dim in zip(projs, span.corner_dims(projs)):
+        n_k = check_square(block_dim, "block dimension")
+        m_k = check_int(np.trace(z).real / n_k, "block multiplicity")
         blocks.append((n_k, m_k, z))
     blocks.sort(key=lambda b: (-b[0], -b[1]))
     projections = np.array([b[2] for b in blocks])

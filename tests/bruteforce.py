@@ -42,6 +42,13 @@ def center_dim(basis, rtol=1e-10):
     return n - _rank(A, rtol)
 
 
+def corner_dim(z, basis, rtol=1e-10):
+    """Dimension of the corner z A z of the span A of ``basis``: the rank of
+    the stacked compressions z B_a z, from one dense SVD."""
+    B = np.asarray(basis, dtype=complex)
+    return _rank((z @ B @ z).reshape(len(B), -1), rtol)
+
+
 def wedge_labels(d):
     return [(i, j) for i in range(d) for j in range(i + 1, d)]
 

@@ -1,11 +1,13 @@
 import gc
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gnsentropy.cli import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     grid_rows,
@@ -168,6 +170,18 @@ def test_run_validation_errors(tmp_path, capsys):
 # sweep
 
 
+@pytest.mark.parametrize("method", ["gns", "wedderburn"])
+def test_run_exits_3_when_a_dimension_reading_is_not_an_integer(
+        tmp_path, capsys, non_central_projections, method):
+    spec = write_spec(tmp_path, "s.json", {
+        "algebra": {"preset": "ex1_m2"},
+        "state": {"parameters": {"lambda": 0.7}},
+    })
+    code, _, err = run_cli(capsys, "run", spec, "--method", method)
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in err and "is not a perfect square" in err
+
+
 def test_sweep_pair_subalgebra_golden_column(tmp_path, capsys):
     spec = write_spec(tmp_path, "s.json", {
         "algebra": {"preset": "ex3_choice2"},
@@ -313,6 +327,24 @@ def test_grid_single_method_routes(capsys):
     _, out_g, _ = run_cli(capsys, "grid", "--resolution", "3", "--method", "gns")
     for row_w, row_g in zip(out_w.splitlines()[1:], out_g.splitlines()[1:]):
         assert abs(float(row_w.split(",")[2]) - float(row_g.split(",")[2])) < 1e-9
+
+
+#: ``gnsentropy grid --resolution 11`` as printed before the block sizes and
+#: multiplicities were read off traces; all three methods printed it.
+GOLDEN_GRID = Path(__file__).parent / "golden" / "grid_r11.csv"
+
+
+@pytest.mark.parametrize("method", ["both", "gns", "wedderburn"])
+def test_grid_matches_the_committed_golden(capsys, method):
+    code, out, _ = run_cli(capsys, "grid", "--resolution", "11", "--method", method)
+    assert code == EXIT_OK
+    got = [line.split(",") for line in out.splitlines()]
+    want = [line.split(",") for line in GOLDEN_GRID.read_text().splitlines()]
+    assert len(got) == len(want) == 1 + 121
+    assert got[0] == want[0] == ["x", "y", "entropy"]
+    for row, golden in zip(got[1:], want[1:]):
+        assert row[:2] == golden[:2]
+        assert abs(float(row[2]) - float(golden[2])) <= 1e-14, row
 
 
 def test_grid_calls_retain_no_memory():

@@ -405,7 +405,7 @@ def test_graded_spectrum_densities_on_planted_block_algebras(decades, method):
     # route run alone. At 12 decades the smallest density eigenvalue
     # (about 1e-12) lies below the relative rank cut and is dropped from
     # the state's factor, and Gram eigenvalues reach about 6e-8, so the
-    # commutant corner must be cut by singular value. That regime is in
+    # GNS null space must be split by singular value. That regime is in
     # scope: the dropped weight is far below the 1e-10 bound, and every
     # case must still match the planted weights.
     for D in (6, 8, 12):

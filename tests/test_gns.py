@@ -6,6 +6,7 @@ import pytest
 
 from gnsentropy import (
     AlgebraState,
+    DecompositionError,
     OperatorSpan,
     StateError,
     build_gns,
@@ -19,9 +20,9 @@ from gnsentropy import (
     span_closure,
 )
 from gnsentropy import gns
-from gnsentropy.cli import grid_rows
 from gnsentropy.fock import PAULI
 from gnsentropy.gns import _commutant_center, _quotient_commutant
+from gnsentropy.star_algebra import minimal_projections
 
 import bruteforce as bf
 
@@ -562,29 +563,78 @@ def test_hermitian_basis_repros_pass_both_routes(k, m, s):
     assert np.abs(np.sort(rep.spectrum) - np.sort(weights)).max() < 1e-8
 
 
-def _count_corner_spans(monkeypatch):
-    calls = []
-    real = gns._corner_span
-    monkeypatch.setattr(gns, "_corner_span", lambda *a: calls.append(1) or real(*a))
-    return calls
-
-
-def test_multiplicity_free_commutant_forms_no_corner(monkeypatch):
-    calls = _count_corner_spans(monkeypatch)
-    _, rows = grid_rows(resolution=5, method="gns")
-    assert len(rows) == 25
-    assert calls == []
-
-
-def test_corners_are_formed_when_a_multiplicity_exceeds_one(monkeypatch):
-    calls = _count_corner_spans(monkeypatch)
+def test_multiplicities_above_one_give_their_schmidt_weights():
     rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
     rep = restriction_entropy(full_matrix_algebra(4), AlgebraState(density=rho), method="gns")
     assert rep.components == ((4, 4, pytest.approx(1.0)),)
-    assert len(calls) == 1
     gen, psi, weights = bf.random_tensor_factor(np.random.default_rng(3), 3, 2)
     rep = restriction_entropy(span_closure([gen], include_unit=True), AlgebraState(vector=psi),
                               method="gns")
     assert rep.components[0][1] == 2
     assert np.abs(np.sort(rep.spectrum) - np.sort(weights)).max() < 1e-8
-    assert len(calls) == 2
+
+
+def assert_corner_traces_match_oracle(space):
+    """Each commutant corner dimension read off a trace rounds to the rank
+    of the corner P C P cut by SVD and sits within 1e-12 of it."""
+    C = _quotient_commutant(space, space.rtol)
+    projs = minimal_projections(_commutant_center(space, C, space.rtol))
+    got = C.corner_dims(projs)
+    want = np.array([bf.corner_dim(P, C.basis) for P in projs])
+    assert np.array_equal(np.round(got), want)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_GRIDS))
+def test_commutant_corner_traces_match_the_svd_oracle_across_preset_families(presets, name):
+    span, family = presets[name]
+    for params in FAMILY_GRIDS[name]:
+        assert_corner_traces_match_oracle(build_gns(span, family.state(params)))
+
+
+def _corner_oracle_space(case):
+    if case == "faithful-m4":
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        return build_gns(full_matrix_algebra(4), AlgebraState(density=rho))
+    if case == "hecke-n4":
+        span = span_closure(bf.hecke_generators(4, 1.7), include_unit=True)
+        rng = np.random.default_rng(796)
+        X = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        return build_gns(span, AlgebraState(density=X @ X.conj().T, normalize=True))
+    k, m, rng_seed = {"frame-3x2": (3, 2, 3), "frame-4x6": (4, 6, 101)}[case]
+    gen, psi, _ = bf.random_tensor_factor(np.random.default_rng(rng_seed), k, m)
+    return build_gns(span_closure([gen], include_unit=True), AlgebraState(vector=psi))
+
+
+@pytest.mark.parametrize("case", ["faithful-m4", "frame-3x2", "frame-4x6", "hecke-n4"])
+def test_commutant_corner_traces_match_the_svd_oracle(case):
+    assert_corner_traces_match_oracle(_corner_oracle_space(case))
+
+
+@pytest.mark.parametrize("decades", [4, 8, 12])
+def test_commutant_corner_traces_match_the_svd_oracle_on_graded_spectra(decades):
+    # the densities of test_entropy's graded-spectrum cases
+    for D in (6, 8, 12):
+        for s in range(20):
+            rng = np.random.default_rng(900 + 100 * decades + 10 * D + s)
+            basis, _ = bf.random_block_span(rng, D, max_rank=4)
+            U = bf.random_frame(rng, D)
+            rho = U @ np.diag(np.logspace(0, -decades, D)) @ U.conj().T
+            space = build_gns(OperatorSpan(basis), AlgebraState(density=rho, normalize=True))
+            assert_corner_traces_match_oracle(space)
+
+
+def test_non_central_projections_fail_the_multiplicity_reading(non_central_projections):
+    # the commutant of M_2 under a faithful state is 1_2 (x) M_2, so
+    # K_C = 1 and the corner reading at diag(0, 1, 1, 1) is its trace, 3
+    space = build_gns(full_matrix_algebra(2), AlgebraState(density=np.diag([0.7, 0.3])))
+    with pytest.raises(DecompositionError,
+                       match=r"commutant corner dimension = (3\.0|2\.99)\d* is not a perfect square"):
+        isotypic_decompose(space)
+
+
+def test_a_non_finite_component_trace_is_a_decomposition_error(monkeypatch):
+    monkeypatch.setattr(gns, "minimal_projections", lambda Z, cluster_tol=None: [np.full((4, 4), np.nan)])
+    space = build_gns(full_matrix_algebra(2), AlgebraState(density=np.diag([0.7, 0.3])))
+    with pytest.raises(DecompositionError, match="component dimension = nan is not a positive integer"):
+        isotypic_decompose(space)

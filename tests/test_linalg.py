@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gnsentropy.linalg import orthonormalize_rows, right_singular
+from gnsentropy import DecompositionError
+from gnsentropy.linalg import INTEGER_TOL, check_int, check_square, orthonormalize_rows, right_singular
 
 
 def cgauss(rng, *shape):
@@ -87,3 +88,30 @@ def test_right_singular_left_vectors_pair_with_the_right_ones(rows, cols):
     assert u.shape == (rows, m)
     assert np.abs(u.conj().T @ u - np.eye(m)).max() < 1e-13
     assert np.abs(A @ vh[:m].conj().T - u * s[:m]).max() < 1e-12
+
+
+def test_integer_readings_round_within_the_tolerance():
+    assert check_int(3.0 + 0.5 * INTEGER_TOL, "x") == 3
+    assert check_int(np.float64(2.0), "x") == 2
+    assert type(check_int(np.float64(2.0), "x")) is int
+    assert check_square(9.0 - 0.5 * INTEGER_TOL, "x") == 3
+
+
+@pytest.mark.parametrize("value, reason", [
+    (np.nan, "nan is not a positive integer"),
+    (np.inf, "inf is not a positive integer"),
+    (-1.0, "-1.0 is not a positive integer"),
+    (0.0, "0.0 is not a positive integer"),
+    (np.float64(np.sqrt(2.0)), "1.4142135623730951 is not a positive integer"),
+    (2.0 + 10 * INTEGER_TOL, "2.00001 is not a positive integer"),
+])
+def test_bad_readings_are_decomposition_errors_with_plain_floats(value, reason):
+    for check in (check_int, check_square):
+        with pytest.raises(DecompositionError) as info:
+            check(value, "reading")
+        assert str(info.value) == f"reading = {reason}"
+
+
+def test_a_non_square_reading_is_a_decomposition_error():
+    with pytest.raises(DecompositionError, match=r"^reading = 2\.0 is not a perfect square$"):
+        check_square(np.float64(2.0), "reading")

@@ -300,6 +300,27 @@ def test_center_matches_all_basis_oracle_with_and_without_generators(presets, ki
         assert_same_span(center(s).basis, want)
 
 
+def assert_block_traces_match_oracle(span):
+    """Each block dimension read off a trace rounds to the rank of the
+    corner z B z cut by SVD and sits within 1e-12 of it."""
+    projs = wedderburn(span).projections
+    got = span.corner_dims(projs)
+    want = np.array([bf.corner_dim(z, span.basis) for z in projs])
+    assert np.array_equal(np.round(got), want)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind, arg", ORACLE_SPANS, ids=ORACLE_IDS)
+def test_block_dimension_traces_match_the_svd_oracle(presets, kind, arg):
+    assert_block_traces_match_oracle(oracle_span(presets, kind, arg))
+
+
+def test_non_central_projections_fail_the_block_dimension_reading(non_central_projections):
+    # on M_2, z = diag(1, 0) gives trace(z K) = 2 with K = 2 * 1
+    with pytest.raises(DecompositionError, match=r"block dimension = 2\.0 is not a perfect square"):
+        wedderburn(full_matrix_algebra(2))
+
+
 def test_closure_keeps_its_orthonormal_seeds_as_generators():
     gens = bf.hecke_generators(4, 1.7)
     span = span_closure(gens, include_unit=True)
@@ -329,6 +350,7 @@ def test_hecke_n6_block_table_and_both_routes():
     assert (span.dim, span.ambient_dim) == (132, 64)
     blocks = wedderburn(span)
     assert sorted(blocks.block_table()) == sorted([(1, 7), (5, 5), (9, 3), (5, 1)])
+    assert_block_traces_match_oracle(span)
     rng = np.random.default_rng(786)
     psi = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     rep = restriction_entropy(span, AlgebraState(vector=psi, normalize=True), method="both",
