@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DecompositionError, OracleMismatchError, StateError
 from .gns import AlgebraState, GnsSpace, IsotypicDecomposition, build_gns, gns_density, isotypic_decompose
-from .linalg import DEFAULT_RTOL, ORACLE_TOL, PSD_TOL, RESULT_TOL, dagger, hermitize, hs_norm, range_basis
+from .linalg import DEFAULT_RTOL, ORACLE_TOL, PSD_TOL, RESULT_TOL, dagger, hermitize, hs_norm
 from .star_algebra import OperatorSpan, WedderburnData, wedderburn
 
 LN2 = float(np.log(2.0))
@@ -119,13 +119,12 @@ class DensityElement:
         return np.sort(w[w > tol])[::-1]
 
 
-def _block_trace_system(span: OperatorSpan, blocks: WedderburnData):
+def _block_trace_system(span: OperatorSpan, blocks: WedderburnData) -> np.ndarray:
     """The state-independent half of :func:`density_element`.
 
-    Returns ``(T, ranges)``: the moment matrix ``T[a, c] = Tr_W(B_c B_a)``
-    and an orthonormal basis of each projection's range. Cached on the span
-    for the last ``blocks`` it was built for, so a sweep over states on one
-    span builds it once.
+    Returns the moment matrix ``T[a, c] = Tr_W(B_c B_a)``. Cached on the
+    span for the last ``blocks`` it was built for, so a sweep over states on
+    one span builds it once; the block ranges are ``blocks.ranges``.
     """
     cached = span._block_trace
     if cached is None or cached[0] is not blocks:
@@ -135,10 +134,8 @@ def _block_trace_system(span: OperatorSpan, blocks: WedderburnData):
         )
         # T[a, c] = trace(W B_c B_a) with W the block-trace weights
         T = B.transpose(0, 2, 1).reshape(n, -1) @ (omega_weights @ B).reshape(n, -1).T
-        cached = span._block_trace = (
-            blocks, T, tuple(range_basis(z) for z in blocks.projections)
-        )
-    return cached[1], cached[2]
+        cached = span._block_trace = (blocks, T)
+    return cached[1]
 
 
 def density_element(
@@ -152,15 +149,15 @@ def density_element(
     ``Tr_W(X) = sum_k trace(z_k X) / m_k`` is faithful on the span, so the
     linear system has a unique solution; Hermiticity follows and is
     checked. Block spectra are read off the compression of ``Drho`` to
-    each projection range: eigenvalues come in groups of size m_k, and one
-    representative per group is kept. The moment matrix of ``Tr_W`` and
-    the range bases do not depend on the state: they are built once per
-    (span, blocks) and cached on the span, so per state only the moments
+    each block range ``blocks.ranges[k]``: eigenvalues come in groups of
+    size m_k, and one representative per group is kept. The moment matrix of
+    ``Tr_W`` does not depend on the state: it is built once per (span,
+    blocks) and cached on the span, so per state only the moments
     ``omega(B_a)``, the solve and the block compressions are computed.
+    ``rtol`` is accepted and has no effect: the solve makes no rank cut.
     """
-    rtol = span.rtol if rtol is None else rtol
     B = span.basis
-    T, ranges = _block_trace_system(span, blocks)
+    T = _block_trace_system(span, blocks)
     y = state.values(B)
     try:
         coeffs = np.linalg.solve(T, y)
@@ -176,13 +173,9 @@ def density_element(
     D_mat = hermitize(D_mat)
 
     spectra = []
-    for V, n_k, m_k in zip(ranges, blocks.block_ranks, blocks.multiplicities):
+    for V, n_k, m_k in zip(blocks.ranges, blocks.block_ranks, blocks.multiplicities):
         comp = hermitize(dagger(V) @ D_mat @ V)
         vals = np.linalg.eigvalsh(comp)
-        if vals.size != n_k * m_k:
-            raise DecompositionError(
-                f"block range has dimension {vals.size}, expected {n_k * m_k}"
-            )
         groups = vals.reshape(n_k, m_k)
         spread = float((groups.max(axis=1) - groups.min(axis=1)).max()) if m_k > 1 else 0.0
         if spread > RESULT_TOL * max(1.0, float(np.abs(vals).max())):

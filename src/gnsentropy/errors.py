@@ -15,7 +15,7 @@ class ClosureError(AlgebraError):
 
 
 class DecompositionError(AlgebraError):
-    """Block decomposition failed: integrality check or retry exhaustion."""
+    """Block decomposition failed: a projection count, dimension reading, grouping or weight check."""
 
 
 class OracleMismatchError(AlgebraError):

@@ -4,7 +4,7 @@ Fermionic ladder matrices live on the 2^d occupation-number Fock space
 (mode i occupies bit i, vacuum at index 0) with the Jordan-Wigner sign
 ``(-1)^(number of occupied modes below i)``. Fixed-particle-number sectors
 embed into tensor powers of the one-particle space through normalized
-antisymmetrized (or, for two bosons, symmetrized) basis vectors, and
+antisymmetrized (or, for bosons, symmetrized) basis vectors, and
 one-particle observables lift to a sector by summing the operator over
 tensor slots.
 
@@ -19,7 +19,6 @@ observables.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .gns import AlgebraState
-from .linalg import as_square, hs_norm
+from .linalg import UNITARY_TOL, as_square, hs_norm
 from .star_algebra import OperatorSpan, full_matrix_algebra, span_closure
 
 MAX_MODES = 12
@@ -107,12 +106,13 @@ def car_ladders(d: int) -> LadderSet:
     return LadderSet(modes=d, creation=tuple(creation), annihilation=annihilation)
 
 
-def _permutation_parity(perm: tuple[int, ...]) -> int:
+def _permutation_parity(word: tuple[int, ...]) -> int:
+    """Sign of the permutation that sorts a word of distinct letters."""
     inv = sum(
         1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
+        for a in range(len(word))
+        for b in range(a + 1, len(word))
+        if word[a] > word[b]
     )
     return -1 if inv % 2 else 1
 
@@ -121,9 +121,12 @@ class FockContext:
     """A fixed-particle-number sector embedded in a tensor power.
 
     Fermionic sectors exist for any ``0 < particles <= dim`` (basis: unit
-    wedge vectors over increasing labels); bosonic sectors are provided up
-    to two particles (basis: ``(e_i e_j + e_j e_i)/sqrt(2)`` off-diagonal,
-    ``e_i e_i`` diagonal).
+    wedge vectors over increasing labels), bosonic sectors for any
+    particle number (basis: normalized symmetrizations over nondecreasing
+    labels). One symmetrizer builds both: every tensor word goes to the
+    column of its sorted label, with the sign of its sort for fermions and
+    +1 for bosons, and each column is normalized. Its O(d^k) cost is
+    bounded by ``MAX_TENSOR_DIM``.
     """
 
     def __init__(self, single_particle_dim: int, statistics: str = "fermionic",
@@ -135,8 +138,6 @@ class FockContext:
             raise ValueError("need at least one mode and one particle")
         if statistics == "fermionic" and k > d:
             raise ValueError(f"no {k}-fermion sector on {d} modes")
-        if statistics == "bosonic" and k > 2:
-            raise ValueError("bosonic sectors are supported up to two particles")
         if d**k > MAX_TENSOR_DIM:
             raise ValueError(f"tensor power dimension {d**k} too large")
         self.single_particle_dim = d
@@ -146,26 +147,14 @@ class FockContext:
             self.labels = tuple(itertools.combinations(range(d), k))
         else:
             self.labels = tuple(itertools.combinations_with_replacement(range(d), k))
+        column = {label: col for col, label in enumerate(self.labels)}
         E = np.zeros((d**k, len(self.labels)), dtype=complex)
-        for col, label in enumerate(self.labels):
-            if statistics == "fermionic":
-                norm = 1.0 / np.sqrt(float(math.factorial(k)))
-                for perm in itertools.permutations(range(k)):
-                    idx = 0
-                    for slot in range(k):
-                        idx = idx * d + label[perm[slot]]
-                    E[idx, col] += _permutation_parity(perm) * norm
-            else:
-                if k == 1 or label[0] == label[1]:
-                    idx = 0
-                    for i in label:
-                        idx = idx * d + i
-                    E[idx, col] = 1.0
-                else:
-                    i, j = label
-                    E[i * d + j, col] = 1.0 / np.sqrt(2.0)
-                    E[j * d + i, col] = 1.0 / np.sqrt(2.0)
-        self.embedding = E
+        # product() enumerates words in row-major index order
+        for idx, word in enumerate(itertools.product(range(d), repeat=k)):
+            col = column.get(tuple(sorted(word)))
+            if col is not None:
+                E[idx, col] = _permutation_parity(word) if statistics == "fermionic" else 1.0
+        self.embedding = E / np.linalg.norm(E, axis=0)
         self.embedding.setflags(write=False)
 
     @property
@@ -205,7 +194,7 @@ def group_embed(U, ctx: FockContext) -> np.ndarray:
     d, k = ctx.single_particle_dim, ctx.particles
     U = as_square(U, ambient_dim=d, name="unitary")
     defect = hs_norm(U.conj().T @ U - np.eye(d))
-    if defect > 1e-8 * np.sqrt(d):
+    if defect > UNITARY_TOL * np.sqrt(d):
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     total = np.eye(1, dtype=complex)
     for _ in range(k):

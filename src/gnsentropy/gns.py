@@ -12,22 +12,25 @@ C^(D x k) and ``pi(B_a)`` is ``B_a (x) 1_k`` restricted to it: the
 representation comes from products with the state's factor, and the span's
 structure constants are never expanded.
 
-The quotient representation is then split into isotypic components. The
-component projections are the minimal projections of the center of the
-commutant of the representation. The GNS triple fixes that commutant: an
-operator T commuting with the representation is determined by u = T xi
-(xi the cyclic vector), since T pi(Y) xi = pi(Y) u, and a vector u gives
-such an operator exactly when pi(X) u = 0 for every null X. So the
-commutant is read off the representation matrices and the null and
-quotient coordinates, inside the r-dimensional quotient, with no
+The quotient representation is then split into isotypic components: the
+ranges of the minimal projections of the center of the commutant of the
+representation, each carried as orthonormal columns. The GNS triple fixes
+that commutant: an operator T commuting with the representation is
+determined by u = T xi (xi the cyclic vector), since T pi(Y) xi = pi(Y) u,
+and a vector u gives such an operator exactly when pi(X) u = 0 for every
+null X. So the commutant is read off the representation matrices and the
+null and quotient coordinates, inside the r-dimensional quotient, with no
 Kronecker solve, no products with the span's basis and no data from the
 block route. Its center is its intersection with the span of the
 representation (its own bicommutant), found from principal angles with no
 commutators. A component's multiplicity m is read off a trace, as the
-square root of the dimension of the commutant's corner. Its weight spreads
-over m Schmidt directions: the refined weights are the spectrum of the
-cyclic vector's state on that corner, its rank-one projector projected onto
-the commutant and compressed to the component, with no random draws.
+square root of the dimension of the commutant's corner, and its irrep
+dimension is its rank over m: the block route reads its blocks with the
+same :func:`gnsentropy.star_algebra.read_blocks`, applied to its own
+algebra. Its weight spreads over m Schmidt directions: the refined weights
+are the spectrum of the cyclic vector's state on that corner, its rank-one
+projector projected onto the commutant and compressed to the component,
+with no random draws.
 
 The representation's products are streamed in chunks of the span's
 basis, so no intermediate holds more than the n*D^2 + n^3 numbers of the
@@ -50,18 +53,15 @@ from .linalg import (
     NULL_FLOOR,
     PSD_TOL,
     RESULT_TOL,
-    check_int,
-    check_square,
     chunks,
     dagger,
     eigh_null_split,
     hermitize,
     hs_norm,
-    range_basis,
     right_singular,
     row_basis,
 )
-from .star_algebra import OperatorSpan, minimal_projections
+from .star_algebra import OperatorSpan, read_blocks
 
 
 class AlgebraState:
@@ -371,10 +371,11 @@ def _commutant_center(space: GnsSpace, C: OperatorSpan, rtol: float) -> Operator
 
 
 def _refined_weights(
-    P: np.ndarray, commutant: np.ndarray, cyclic: np.ndarray, n_k: int, m_k: int
+    V: np.ndarray, commutant: np.ndarray, cyclic: np.ndarray, n_k: int, m_k: int
 ) -> np.ndarray:
     """Schmidt weights of the cyclic vector inside one isotypic component.
 
+    ``V`` holds orthonormal columns spanning the component, ``P = V V^dag``.
     On the range of ``P`` the representation acts as ``M_n (x) 1_m`` and
     the commutant's corner as ``1_n (x) M_m``. The Hilbert-Schmidt
     projection of ``|v><v|`` (``v = P cyclic``) onto that corner is the
@@ -382,11 +383,10 @@ def _refined_weights(
     ``sigma`` the state of ``v`` on the corner: its eigenvalues come in m
     groups of n equal values, and n times each group value is a weight.
     ``P`` is central in the commutant (orthonormal basis ``commutant``), so
-    that is the projection onto the whole commutant, compressed to ``P``.
+    that is the projection onto the whole commutant, compressed to ``V``.
     """
     # <C_j, |xi><xi|> = conj(<xi| C_j |xi>)
     Y = np.tensordot(((commutant @ cyclic) @ cyclic.conj()).conj(), commutant, axes=(0, 0))
-    V = range_basis(P)
     vals = np.linalg.eigvalsh(hermitize(dagger(V) @ Y @ V))[::-1]
     groups = vals.reshape(m_k, n_k)
     spread = float((groups.max(axis=1) - groups.min(axis=1)).max())
@@ -414,12 +414,12 @@ def isotypic_decompose(
     u are those annihilated by the null classes, and its center is its
     intersection with the representation's span; the generic
     :func:`gnsentropy.star_algebra.commutant` and ``center`` are their test
-    oracles. Each multiplicity is the square root of the dimension of the
-    commutant's corner at the component, read off a trace
-    (:meth:`OperatorSpan.corner_dims`). Components come back sorted by
-    descending irrep dimension, then multiplicity. No
-    step is random: ``seed`` is accepted for compatibility, recorded on the
-    result and has no effect.
+    oracles. :func:`gnsentropy.star_algebra.read_blocks` reads each
+    multiplicity off a trace, as the square root of the dimension of the
+    commutant's corner at the component, and the irrep dimension as the
+    component's rank over it. Components come back sorted by descending
+    irrep dimension, then multiplicity. No step is random: ``seed`` is
+    accepted for compatibility, recorded on the result and has no effect.
     """
     rtol = space.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
@@ -428,17 +428,14 @@ def isotypic_decompose(
     C = _quotient_commutant(space, rtol)
     Z = _commutant_center(space, C, rtol)
     cyclic = space.cyclic_vector
-    projs = minimal_projections(Z, cluster_tol=cluster_tol)
     components = []
-    for P, corner_dim in zip(projs, C.corner_dims(projs)):
-        t = check_int(np.trace(P).real, "component dimension")
-        m_k = check_square(corner_dim, "commutant corner dimension")
-        n_k = check_int(t / m_k, f"component dimension {t} / multiplicity {m_k}")
+    for m_k, n_k, V in read_blocks(C, Z, cluster_tol, "commutant corner"):
+        P = V @ dagger(V)
         w_k = float(np.vdot(cyclic, P @ cyclic).real)
         if m_k == 1:
             refined = np.array([w_k])
         else:
-            refined = _refined_weights(P, C.basis, cyclic, n_k, m_k)
+            refined = _refined_weights(V, C.basis, cyclic, n_k, m_k)
             if abs(refined.sum() - w_k) > RESULT_TOL * max(w_k, 1.0):
                 raise DecompositionError(
                     f"refined weights sum to {refined.sum()!r}, expected {w_k!r}"

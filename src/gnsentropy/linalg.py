@@ -30,6 +30,10 @@ ORACLE_TOL = 1e-8
 #: Input state checks: norm or trace against 1, relative Hermitian defect.
 INPUT_TOL = 1e-9
 
+#: Largest HS defect ``|U^dag U - 1|`` of a unitary input, per sqrt of its
+#: dimension.
+UNITARY_TOL = 1e-8
+
 #: How far below zero a Gram, density or block eigenvalue may dip.
 PSD_TOL = 1e-9
 
@@ -127,12 +131,6 @@ def hermitian_span_basis(mats: np.ndarray, rtol: float | None = None) -> np.ndar
     real = row_basis(np.hstack([cands.real, cands.imag]), rtol)
     rows = real[:, : D * D] + 1j * real[:, D * D :]
     return hermitize(rows.reshape(-1, D, D))
-
-
-def range_basis(P: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a Hermitian projection."""
-    vals, vecs = np.linalg.eigh(hermitize(P))
-    return vecs[:, vals > 0.5]
 
 
 def eigh_null_split(M: np.ndarray, rtol: float | None = None):

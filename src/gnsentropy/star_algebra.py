@@ -51,9 +51,9 @@ class OperatorSpan:
     on the instance, so it lives as long as the span does: the unit check
     (:attr:`unit_coords`, :attr:`has_unit`), :meth:`structure_constants`,
     :meth:`closure_residual`, :meth:`adjoint_coords`, :func:`wedderburn`
-    per tolerance pair, and the block-trace system that
+    per tolerance pair, and the block-trace moment matrix that
     :func:`gnsentropy.entropy.density_element` builds for the last
-    Wedderburn data it was given.
+    Wedderburn data it was given (the block ranges live in that data).
 
     Parameters
     ----------
@@ -121,13 +121,14 @@ class OperatorSpan:
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coeffs, dtype=complex), self.basis, axes=(0, 0))
 
-    def corner_dims(self, projections) -> np.ndarray:
-        """``Re trace(z K)``, ``K = sum_a B_a B_a^dag``: dim zA for each z central in
-        this *-closed span A, as X -> zX is the HS-orthogonal projection onto zA
-        (Murota, Kanno, Kojima and Kojima, Japan J. Indust. Appl. Math. 27, 2010)."""
+    def corner_dims(self, ranges) -> np.ndarray:
+        """``Re trace(V^dag K V)``, ``K = sum_a B_a B_a^dag``: dim zA for each
+        ``z = V V^dag`` central in this *-closed span A (V orthonormal columns),
+        as X -> zX is the HS-orthogonal projection onto zA (Murota, Kanno,
+        Kojima and Kojima, Japan J. Indust. Appl. Math. 27, 2010)."""
         stacked = np.concatenate(self.basis, axis=1)  # [B_0 | B_1 | ...], D x nD
         K = stacked @ stacked.conj().T
-        return np.array([np.vdot(z, K).real for z in projections])
+        return np.array([np.vdot(V, K @ V).real for V in ranges])
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return self.reconstruct(self.coords(X))
@@ -245,14 +246,17 @@ class WedderburnData:
 
     Block ``k`` is a full matrix algebra of rank ``block_ranks[k]`` acting on
     the range of ``projections[k]`` with ambient multiplicity
-    ``multiplicities[k]``; ``trace(z_k) = n_k * m_k`` and the block
-    dimensions ``n_k**2`` add up to the span dimension.
+    ``multiplicities[k]``; ``ranges[k]`` holds orthonormal columns V_k
+    spanning that range, ``projections[k] = V_k V_k^dag``, the rank
+    ``V_k.shape[1]`` is ``n_k * m_k`` and the block dimensions ``n_k**2`` add
+    up to the span dimension. Both are read-only.
     """
 
     projections: np.ndarray
     block_ranks: tuple[int, ...]
     multiplicities: tuple[int, ...]
     center_dim: int
+    ranges: tuple[np.ndarray, ...]
 
     @property
     def n_blocks(self) -> int:
@@ -394,16 +398,17 @@ def commutant(rep_matrices, rtol: float | None = None) -> OperatorSpan:
 def minimal_projections(
     commutative: OperatorSpan, cluster_tol: float | None = None
 ) -> list[np.ndarray]:
-    """Minimal projections of a commutative unital *-closed span.
+    """Ranges of the minimal projections of a commutative unital *-closed span.
 
     Joint refinement (Maehara and Murota, SIAM J. Matrix Anal. Appl. 32,
     2011): from the identity, each Hermitian basis element in turn is
     compressed to every current range and splits it at its eigenvalue
     clusters, until there are as many ranges as the span dimension. The
     span is commutative, so each compression is exact; a dim-1 span returns
-    the identity untouched. Two minimal projections differ by at least
-    sqrt(2)/D in some basis coordinate, so for D up to about 1e4 the basis
-    separates them at the default ``cluster_tol``.
+    the identity untouched. Each range comes back as orthonormal columns V
+    (D x rank), the projection being ``V V^dag``. Two minimal projections
+    differ by at least sqrt(2)/D in some basis coordinate, so for D up to
+    about 1e4 the basis separates them at the default ``cluster_tol``.
     """
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
     want = commutative.dim
@@ -426,7 +431,26 @@ def minimal_projections(
             f"joint refinement found {len(ranges)} of {want} minimal projections "
             f"(smallest separating gap {gap:.3e}, cluster_tol {cluster_tol:.1e})"
         )
-    return [V @ dagger(V) for V in ranges]
+    return ranges
+
+
+def read_blocks(
+    algebra: OperatorSpan, Z: OperatorSpan, cluster_tol: float, what: str
+) -> list[tuple[int, int, np.ndarray]]:
+    """``(root, rank / root, V)`` for each range V of the minimal projections
+    of the center ``Z`` of the unital *-closed span ``algebra``: root^2 =
+    dim zA (``z = V V^dag``) is read off a trace and must be a perfect
+    square, and rank = ``V.shape[1]`` a multiple of root. That is (block
+    rank, multiplicity) on a block algebra and (multiplicity, irrep
+    dimension) on a commutant; ``what`` names the reading in errors."""
+    ranges = minimal_projections(Z, cluster_tol=cluster_tol)
+    table = []
+    for V, reading in zip(ranges, algebra.corner_dims(ranges)):
+        root, rank = check_square(reading, f"{what} dimension"), V.shape[1]
+        quotient = check_int(rank / root, f"rank {rank} / sqrt({what} dimension) {root}")
+        V.setflags(write=False)
+        table.append((root, quotient, V))
+    return table
 
 
 def wedderburn(
@@ -437,17 +461,16 @@ def wedderburn(
 ) -> WedderburnData:
     """Block decomposition of a unital *-closed span into matrix algebras.
 
-    The minimal central projections come from :func:`minimal_projections`
-    applied to :func:`center`; each block dimension n_k^2 is read off a
-    trace (:meth:`OperatorSpan.corner_dims`) and checked to be a perfect
-    square, and the multiplicity ``trace(z_k) / n_k`` to be an integer.
+    The minimal central projections are those of :func:`center`, and
+    :func:`read_blocks` reads each block's rank n_k off a trace and its
+    multiplicity as the projection's rank over n_k.
     Blocks are sorted by descending rank, then multiplicity, then refinement
     order. ``seed`` is accepted and has no effect: no step is random.
 
     The result depends on the span and the resolved ``rtol`` and
     ``cluster_tol`` alone, so it is cached on the span under that pair:
-    repeated calls return the same object, whose ``projections`` are
-    read-only. A call that raises caches nothing.
+    repeated calls return the same object, whose ``projections`` and
+    ``ranges`` are read-only. A call that raises caches nothing.
     """
     rtol = span.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
@@ -462,20 +485,16 @@ def wedderburn(
             f"wedderburn requires a *-closed span (adjoint residual {adj_resid:.3e})"
         )
     Z = center(span, rtol=rtol)
-    projs = minimal_projections(Z, cluster_tol=cluster_tol)
-    blocks = []
-    for z, block_dim in zip(projs, span.corner_dims(projs)):
-        n_k = check_square(block_dim, "block dimension")
-        m_k = check_int(np.trace(z).real / n_k, "block multiplicity")
-        blocks.append((n_k, m_k, z))
+    blocks = read_blocks(span, Z, cluster_tol, "block")
     blocks.sort(key=lambda b: (-b[0], -b[1]))
-    projections = np.array([b[2] for b in blocks])
+    projections = np.array([V @ dagger(V) for *_, V in blocks])
     projections.setflags(write=False)
     data = WedderburnData(
         projections=projections,
         block_ranks=tuple(b[0] for b in blocks),
         multiplicities=tuple(b[1] for b in blocks),
         center_dim=Z.dim,
+        ranges=tuple(b[2] for b in blocks),
     )
     if sum(data.block_dims) != span.dim:
         raise DecompositionError(

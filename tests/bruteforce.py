@@ -6,6 +6,8 @@ tensor products on the wedge basis, and entropies from closed-form
 weight lists.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -61,6 +63,23 @@ def wedge_embedding(d):
         E[i * d + j, col] = 1.0 / np.sqrt(2.0)
         E[j * d + i, col] = -1.0 / np.sqrt(2.0)
     return E
+
+
+def sector_embedding_by_permutations(d, k, statistics):
+    """Sector basis as columns in (C^d)^(x k): each label's k! permuted
+    words, signed by the permutation's parity for fermions, summed and
+    normalized. The per-label loop that the one-pass symmetrizer replaced."""
+    if statistics == "fermionic":
+        labels = list(itertools.combinations(range(d), k))
+    else:
+        labels = list(itertools.combinations_with_replacement(range(d), k))
+    E = np.zeros((d**k, len(labels)), dtype=complex)
+    for col, label in enumerate(labels):
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+            sign = (-1) ** inversions if statistics == "fermionic" else 1
+            E[np.ravel_multi_index([label[p] for p in perm], (d,) * k), col] += sign
+    return E / np.linalg.norm(E, axis=0)
 
 
 def one_particle_on_pair(t, d):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnsentropy import example_generators, gns, star_algebra, wedderburn, PRESET_NAMES
+from gnsentropy import example_generators, star_algebra, wedderburn, PRESET_NAMES
 
 
 @pytest.fixture(scope="session")
@@ -37,12 +37,13 @@ def preset_cases(presets):
     return cases
 
 
-#: Splits of the identity into projections that are not central: on M_2
-#: (the block route of ex1_m2) and on its 4-dim GNS space under a
-#: faithful state (the GNS route, whose commutant is 1_2 (x) M_2).
+#: Splits of the identity into projections that are not central, as the
+#: coordinate columns spanning each range: on M_2 (the block route of
+#: ex1_m2) and on its 4-dim GNS space under a faithful state (the GNS
+#: route, whose commutant is 1_2 (x) M_2).
 NON_CENTRAL_SPLITS = {
-    2: [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
-    4: [np.diag([1.0, 0.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0, 1.0])],
+    2: [[0], [1]],
+    4: [[0], [1, 2, 3]],
 }
 
 
@@ -50,7 +51,7 @@ NON_CENTRAL_SPLITS = {
 def non_central_projections(monkeypatch):
     """Both routes take NON_CENTRAL_SPLITS in place of their minimal projections."""
     def fake(commutative, cluster_tol=None):
-        return [P.astype(complex) for P in NON_CENTRAL_SPLITS[commutative.ambient_dim]]
+        eye = np.eye(commutative.ambient_dim, dtype=complex)
+        return [eye[:, cols] for cols in NON_CENTRAL_SPLITS[commutative.ambient_dim]]
 
     monkeypatch.setattr(star_algebra, "minimal_projections", fake)
-    monkeypatch.setattr(gns, "minimal_projections", fake)

@@ -347,6 +347,39 @@ def test_grid_matches_the_committed_golden(capsys, method):
         assert abs(float(row[2]) - float(golden[2])) <= 1e-14, row
 
 
+#: ``gnsentropy sweep --method both --steps 200`` per preset, as printed
+#: before the minimal projections were carried as their ranges.
+GOLDEN_SWEEPS = {
+    "ex1_m2": ("lambda", 1.0),
+    "ex3_choice1": ("theta", np.pi / 2),
+    "ex3_choice2": ("theta", np.pi / 2),
+    "ex4_left": ("theta", np.pi / 2),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_SWEEPS))
+def test_sweeps_match_the_committed_goldens(tmp_path, capsys, preset):
+    param, stop = GOLDEN_SWEEPS[preset]
+    spec = write_spec(tmp_path, "s.json", {"algebra": {"preset": preset},
+                                           "state": {"parameters": {}}})
+    golden = Path(__file__).parent / "golden" / f"sweep_{preset}.csv"
+    want = [line.split(",") for line in golden.read_text().splitlines()]
+    assert len(want) == 1 + 200
+    for method in ("both", "gns", "wedderburn"):
+        code, out, _ = run_cli(capsys, "sweep", spec, "--param", param, "--from", "0",
+                               "--to", str(stop), "--steps", "200", "--method", method)
+        assert code == EXIT_OK
+        got = [line.split(",") for line in out.splitlines()]
+        assert len(got) == len(want)
+        assert got[0] == want[0] == [param, "entropy_nats", "entropy_bits", "gns_dim", "null_dim"]
+        for row, golden_row in zip(got[1:], want[1:]):
+            assert row[0] == golden_row[0]
+            # the block route reports no GNS dimensions
+            assert row[3:] == (["", ""] if method == "wedderburn" else golden_row[3:]), row
+            for col in (1, 2):
+                assert abs(float(row[col]) - float(golden_row[col])) <= 1e-14, (method, row)
+
+
 def test_grid_calls_retain_no_memory():
     """Per-span caches die with their span: repeated grid calls keep nothing.
 

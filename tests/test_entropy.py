@@ -165,23 +165,20 @@ def test_block_trace_moments_reproduce_the_state(preset_cases, preset_blocks):
         assert np.abs(got - want).max() < 1e-9
 
 
-def test_density_element_builds_the_block_trace_once_per_span(monkeypatch):
-    calls = []
-    real_range_basis = entropy.range_basis
-    monkeypatch.setattr(entropy, "range_basis",
-                        lambda P: calls.append(1) or real_range_basis(P))
+def test_density_element_builds_the_block_trace_once_per_span():
     span, family = example_generators("ex5_bosons")
     blocks = wedderburn(span)
     axis = np.linspace(-2.0, 2.0, 7)
     states = [family.state(dict(zip(("theta", "phi"), plane_to_angles(x, y))))
               for x in axis for y in axis]
-    reused = []
-    for state in states:
+    reused = [density_element(span, blocks, states[0])]
+    T = entropy._block_trace_system(span, blocks)
+    for state in states[1:]:
         reused.append(density_element(span, blocks, state))
-        assert len(calls) == blocks.n_blocks
-    density_element(span, wedderburn(span, rtol=1e-11), states[0])
-    assert len(calls) == 2 * blocks.n_blocks
-    monkeypatch.undo()
+        assert entropy._block_trace_system(span, blocks) is T
+    other = wedderburn(span, rtol=1e-11)
+    density_element(span, other, states[0])
+    assert entropy._block_trace_system(span, other) is not T
     for state, dens in zip(states, reused):
         fresh_span, _ = example_generators("ex5_bosons")
         fresh = density_element(fresh_span, wedderburn(fresh_span), state)

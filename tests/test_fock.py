@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -96,13 +97,45 @@ def test_context_validation():
         FockContext(3, "anyonic", 2)
     with pytest.raises(ValueError):
         FockContext(3, "fermionic", 4)
-    with pytest.raises(ValueError):
-        FockContext(3, "bosonic", 3)
+    assert FockContext(3, "bosonic", 3).dim == 10
+    # 2^16 tensor words exceed MAX_TENSOR_DIM
+    with pytest.raises(ValueError, match="too large"):
+        FockContext(2, "bosonic", 16)
+
+
+@pytest.mark.parametrize("d, k", [(1, 4), (2, 3), (2, 5), (3, 3), (3, 4), (4, 3)])
+def test_n_boson_sectors_are_the_symmetric_tensors(d, k):
+    ctx = FockContext(d, "bosonic", k)
+    assert ctx.dim == math.comb(d + k - 1, k)
+    E = ctx.embedding
+    assert np.abs(E.conj().T @ E - np.eye(ctx.dim)).max() < 1e-12
+    tensors = E.T.reshape((ctx.dim,) + (d,) * k)
+    for a, b in itertools.combinations(range(1, k + 1), 2):
+        assert np.array_equal(tensors, tensors.swapaxes(a, b))
+
+
+@pytest.mark.parametrize("statistics, d, k", [
+    ("fermionic", 3, 2), ("fermionic", 4, 3), ("fermionic", 5, 4),
+    ("bosonic", 3, 1), ("bosonic", 4, 2), ("bosonic", 2, 4), ("bosonic", 3, 3),
+])
+def test_symmetrizer_matches_the_permutation_sum(statistics, d, k):
+    got = FockContext(d, statistics, k).embedding
+    want = bf.sector_embedding_by_permutations(d, k, statistics)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps
+
+
+def test_three_boson_coproduct_is_a_lie_homomorphism():
+    ctx = FockContext(3, "bosonic", 3)
+    rng = np.random.default_rng(12)
+    A, B = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    eA, eB = coproduct_embed(A, ctx), coproduct_embed(B, ctx)
+    assert np.abs(coproduct_embed(A @ B - B @ A, ctx) - (eA @ eB - eB @ eA)).max() < 1e-12
 
 
 @pytest.mark.parametrize("statistics,d,k", [
     ("fermionic", 3, 2), ("fermionic", 4, 2), ("fermionic", 4, 3),
     ("bosonic", 3, 2), ("bosonic", 2, 2),
+    ("bosonic", 2, 3), ("bosonic", 3, 3), ("bosonic", 2, 4),
 ])
 def test_sector_basis_is_orthonormal(statistics, d, k):
     ctx = FockContext(d, statistics, k)

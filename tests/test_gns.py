@@ -19,7 +19,7 @@ from gnsentropy import (
     restriction_entropy,
     span_closure,
 )
-from gnsentropy import gns
+from gnsentropy import star_algebra
 from gnsentropy.fock import PAULI
 from gnsentropy.gns import _commutant_center, _quotient_commutant
 from gnsentropy.star_algebra import minimal_projections
@@ -578,9 +578,9 @@ def assert_corner_traces_match_oracle(space):
     """Each commutant corner dimension read off a trace rounds to the rank
     of the corner P C P cut by SVD and sits within 1e-12 of it."""
     C = _quotient_commutant(space, space.rtol)
-    projs = minimal_projections(_commutant_center(space, C, space.rtol))
-    got = C.corner_dims(projs)
-    want = np.array([bf.corner_dim(P, C.basis) for P in projs])
+    ranges = minimal_projections(_commutant_center(space, C, space.rtol))
+    got = C.corner_dims(ranges)
+    want = np.array([bf.corner_dim(V @ V.conj().T, C.basis) for V in ranges])
     assert np.array_equal(np.round(got), want)
     assert np.abs(got - want).max() <= 1e-12
 
@@ -634,7 +634,9 @@ def test_non_central_projections_fail_the_multiplicity_reading(non_central_proje
 
 
 def test_a_non_finite_component_trace_is_a_decomposition_error(monkeypatch):
-    monkeypatch.setattr(gns, "minimal_projections", lambda Z, cluster_tol=None: [np.full((4, 4), np.nan)])
+    monkeypatch.setattr(star_algebra, "minimal_projections",
+                        lambda Z, cluster_tol=None: [np.full((4, 4), np.nan)])
     space = build_gns(full_matrix_algebra(2), AlgebraState(density=np.diag([0.7, 0.3])))
-    with pytest.raises(DecompositionError, match="component dimension = nan is not a positive integer"):
+    with pytest.raises(DecompositionError,
+                       match="commutant corner dimension = nan is not a positive integer"):
         isotypic_decompose(space)

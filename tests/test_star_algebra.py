@@ -303,9 +303,9 @@ def test_center_matches_all_basis_oracle_with_and_without_generators(presets, ki
 def assert_block_traces_match_oracle(span):
     """Each block dimension read off a trace rounds to the rank of the
     corner z B z cut by SVD and sits within 1e-12 of it."""
-    projs = wedderburn(span).projections
-    got = span.corner_dims(projs)
-    want = np.array([bf.corner_dim(z, span.basis) for z in projs])
+    data = wedderburn(span)
+    got = span.corner_dims(data.ranges)
+    want = np.array([bf.corner_dim(V @ V.conj().T, span.basis) for V in data.ranges])
     assert np.array_equal(np.round(got), want)
     assert np.abs(got - want).max() <= 1e-12
 
@@ -319,6 +319,24 @@ def test_non_central_projections_fail_the_block_dimension_reading(non_central_pr
     # on M_2, z = diag(1, 0) gives trace(z K) = 2 with K = 2 * 1
     with pytest.raises(DecompositionError, match=r"block dimension = 2\.0 is not a perfect square"):
         wedderburn(full_matrix_algebra(2))
+
+
+def test_a_rank_off_a_multiple_of_the_block_rank_fails_the_multiplicity_reading(
+        non_central_projections):
+    # on M_4, K = 4 * 1, so the rank-one range e_0 reads block dimension 4
+    with pytest.raises(DecompositionError,
+                       match=r"rank 1 / sqrt\(block dimension\) 2 = 0\.5 is not a positive integer"):
+        wedderburn(full_matrix_algebra(4))
+
+
+def test_wedderburn_ranges_are_read_only_isometries_onto_the_projections(preset_blocks):
+    for data in preset_blocks.values():
+        for V, z, n, m in zip(data.ranges, data.projections, data.block_ranks,
+                              data.multiplicities):
+            assert V.shape[1] == n * m
+            assert np.array_equal(V @ V.conj().T, z)
+            assert np.abs(V.conj().T @ V - np.eye(n * m)).max() < 1e-12
+            assert not V.flags.writeable
 
 
 def test_closure_keeps_its_orthonormal_seeds_as_generators():
@@ -563,18 +581,19 @@ def test_minimal_projection_of_scalars_is_the_identity(monkeypatch):
         raise AssertionError("a dim-1 span needs no Hermitian basis")
 
     monkeypatch.setattr(OperatorSpan, "hermitian_basis", no_basis)
-    (P,) = minimal_projections(span)
-    assert np.array_equal(P, np.eye(4))
+    (V,) = minimal_projections(span)
+    assert np.array_equal(V, np.eye(4))
 
 
 def test_minimal_projections_of_a_diagonal_algebra_are_its_blocks():
     diag = np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]).astype(complex)
     span = span_closure([diag], include_unit=True)
     assert span.dim == 3
-    projs = minimal_projections(span)
-    assert sorted(round(np.trace(P).real) for P in projs) == [1, 2, 3]
-    for P in projs:
-        assert np.abs(P @ P - P).max() < 1e-12
+    ranges = minimal_projections(span)
+    assert sorted(V.shape[1] for V in ranges) == [1, 2, 3]
+    projs = [V @ V.conj().T for V in ranges]
+    for V, P in zip(ranges, projs):
+        assert np.abs(V.conj().T @ V - np.eye(V.shape[1])).max() < 1e-12
         assert np.abs(P @ diag - diag @ P).max() < 1e-12
     assert np.abs(sum(projs) - np.eye(6)).max() < 1e-12
 
