@@ -14,6 +14,7 @@ from .entropy import (
     SpectralState,
     density_element,
     partial_trace,
+    restriction_entropies,
     restriction_entropy,
     spectra_agree,
     von_neumann_entropy,
@@ -93,6 +94,7 @@ __all__ = [
     "group_embed",
     "isotypic_decompose",
     "partial_trace",
+    "restriction_entropies",
     "restriction_entropy",
     "span_closure",
     "spectra_agree",

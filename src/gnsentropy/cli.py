@@ -8,7 +8,13 @@ parameter over a grid (CSV), emit the two-boson entropy landscape
 Scenario files are JSON. Complex scalars serialize as ``[re, im]`` pairs;
 a vector is a list of pairs and a matrix either a row-major nested list
 of pairs or a flat row-major pair list. Exit codes: 0 success, 1 golden
-mismatch, 2 validation error, 3 numerical/oracle failure.
+mismatch, 2 validation error, 3 numerical/oracle failure (a LAPACK
+``LinAlgError`` too, although it subclasses ``ValueError``).
+
+``sweep`` and ``grid`` solve their states together, with
+:func:`gnsentropy.entropy.restriction_entropies` on one budget-sized chunk
+of states at a time, and print the same rows a loop of single solves
+would; the first state that fails ends the run with its error.
 """
 
 from __future__ import annotations
@@ -24,7 +30,9 @@ from .entropy import (
     LN2,
     RestrictionReport,
     partial_trace,
+    restriction_entropies,
     restriction_entropy,
+    state_chunks,
     von_neumann_entropy,
 )
 from .errors import AlgebraError
@@ -214,22 +222,31 @@ def sweep_scenario(spec: dict, param: str, start: float, stop: float, steps: int
         grid = np.linspace(start, stop, steps)
     base = dict(meta["parameters"])
     header = [param, "entropy_nats", "entropy_bits", "gns_dim", "null_dim"]
-    rows = []
+    states, error = [], None
     for value in grid:
-        params = dict(base)
-        params[param] = float(value)
-        state = family.state(params)
-        report = restriction_entropy(
-            span, state, method=meta["method"], seed=meta["seed"], rtol=meta["rtol"]
-        )
-        rows.append([
-            _fmt(value),
-            _fmt(report.entropy_nats),
-            _fmt(report.entropy_bits),
-            "" if report.gns_dim is None else str(report.gns_dim),
-            "" if report.null_dim is None else str(report.null_dim),
-        ])
+        try:
+            states.append(family.state({**base, param: float(value)}))
+        except ValueError as exc:
+            error = exc
+            break
+    rows = _report_rows(span, states, lambda i, report: [
+        _fmt(grid[i]),
+        _fmt(report.entropy_nats),
+        _fmt(report.entropy_bits),
+        "" if report.gns_dim is None else str(report.gns_dim),
+        "" if report.null_dim is None else str(report.null_dim),
+    ], method=meta["method"], seed=meta["seed"], rtol=meta["rtol"])
+    if error is not None:
+        raise error
     return header, rows
+
+
+def _report_rows(span, states, row, **kw) -> list:
+    """``row(i, report)`` for each state i, from :func:`restriction_entropies`
+    on one chunk of :func:`state_chunks` at a time, so that only one chunk's
+    reports are alive at once."""
+    return [row(c.start + j, report) for c in state_chunks(span, len(states))
+            for j, report in enumerate(restriction_entropies(span, states[c], **kw))]
 
 
 def plane_to_angles(x: float, y: float) -> tuple[float, float]:
@@ -237,10 +254,11 @@ def plane_to_angles(x: float, y: float) -> tuple[float, float]:
 
     The plane coordinates are ``(x, y) = (sin(t)cos(p), sin(t)sin(p)) /
     (1 - cos(t))``; the projection point t = 0 maps to infinity and the
-    opposite pole to the origin.
+    opposite pole to the origin. A point too far out for x^2 + y^2 to be
+    finite is the projection point itself.
     """
     rho_sq = x * x + y * y
-    cos_t = (rho_sq - 1.0) / (rho_sq + 1.0)
+    cos_t = 1.0 if rho_sq == np.inf else (rho_sq - 1.0) / (rho_sq + 1.0)
     theta = float(np.arccos(np.clip(cos_t, -1.0, 1.0)))
     phi = float(np.arctan2(y, x))
     return theta, phi
@@ -251,17 +269,19 @@ def grid_rows(resolution: int, extent: float = 2.0, method: str = "both",
     """Entropy of the two-boson preset over a square stereographic grid."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if not np.isfinite(extent):
+        raise ValueError(f"extent must be finite, got {extent!r}")
     span, family = example_generators("ex5_bosons")
     axis = np.linspace(-extent, extent, resolution)
-    header = ["x", "y", "entropy"]
-    rows = []
-    for x in axis:
-        for y in axis:
-            theta, phi = plane_to_angles(float(x), float(y))
-            state = family.state(theta=theta, phi=phi)
-            report = restriction_entropy(span, state, method=method, seed=seed, rtol=rtol)
-            rows.append([_fmt(x), _fmt(y), _fmt(report.entropy_nats)])
-    return header, rows
+    points = [(float(x), float(y)) for x in axis for y in axis]
+    states = []
+    for x, y in points:
+        theta, phi = plane_to_angles(x, y)
+        states.append(family.state(theta=theta, phi=phi))
+    return ["x", "y", "entropy"], _report_rows(
+        span, states, lambda i, report: [_fmt(points[i][0]), _fmt(points[i][1]),
+                                         _fmt(report.entropy_nats)],
+        method=method, seed=seed, rtol=rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +512,13 @@ def main(argv=None) -> int:
             _write("\n".join(lines) + "\n", args.out)
             if not ok:
                 return EXIT_GOLDEN
+    except (AlgebraError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but it is a LAPACK breakdown
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except AlgebraError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

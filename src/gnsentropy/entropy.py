@@ -8,8 +8,12 @@ Two routes lead to the spectrum of a state restricted to a subalgebra:
   counts each irreducible block once with ambient multiplicities divided
   out, and read the spectrum off the blocks.
 
-``restriction_entropy`` runs either or both and, when both, enforces that
-the two spectra agree as multisets.
+``restriction_entropies`` runs either or both for many states on one span
+and, when both, enforces that the two spectra of each state agree as
+multisets. Each stage runs stacked over the states of one shape (the block
+route's solve takes one right-hand side per state), in chunks of at most
+``STACK_BUDGET`` numbers; ``restriction_entropy`` and ``density_element``
+are batches of one.
 
 The block trace is the right normalization: with ambient multiplicities
 m > 1 the naive ambient trace would inflate every block eigenvalue by m
@@ -22,9 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, OracleMismatchError, StateError
-from .gns import AlgebraState, GnsSpace, IsotypicDecomposition, build_gns, gns_density, isotypic_decompose
-from .linalg import DEFAULT_RTOL, ORACLE_TOL, PSD_TOL, RESULT_TOL, dagger, hermitize, hs_norm
+from .errors import DecompositionError, OracleMismatchError, StateError, attempt, raise_first
+from .gns import AlgebraState, GnsSpace, IsotypicDecomposition, _build_gns, _isotypic, gns_density
+from .linalg import (
+    CLUSTER_TOL,
+    DEFAULT_RTOL,
+    ORACLE_TOL,
+    PSD_TOL,
+    RESULT_TOL,
+    STACK_BUDGET,
+    batched,
+    chunks,
+    dagger,
+    hermitize,
+    stack,
+)
 from .star_algebra import OperatorSpan, WedderburnData, wedderburn
 
 LN2 = float(np.log(2.0))
@@ -155,41 +171,57 @@ def density_element(
     blocks) and cached on the span, so per state only the moments
     ``omega(B_a)``, the solve and the block compressions are computed.
     ``rtol`` is accepted and has no effect: the solve makes no rank cut.
+    This is the batch of one of the stacked solve that
+    :func:`restriction_entropies` runs over many states.
     """
-    B = span.basis
+    return raise_first(_density_elements(span, blocks, [state]))[0]
+
+
+@batched
+def _density_elements(span: OperatorSpan, blocks: WedderburnData, states: list) -> list:
+    """:func:`density_element` for a list of states: one solve with a
+    right-hand side per state, the density elements and their Hermiticity
+    check stacked, and one stacked ``eigvalsh`` per block. A state that
+    fails gets its error in place of its density element."""
+    B, n, D = span.basis, span.dim, span.ambient_dim
     T = _block_trace_system(span, blocks)
-    y = state.values(B)
+    out = [st if isinstance(st, Exception) else attempt(st.values, B) for st in states]
+    pos = [i for i, y in enumerate(out) if not isinstance(y, Exception)]
+    if not pos:
+        return out
     try:
-        coeffs = np.linalg.solve(T, y)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(
+        coeffs = np.linalg.solve(T, stack([out[i] for i in pos]).T).T
+    except np.linalg.LinAlgError:
+        error = DecompositionError(
             "block-trace moment system is singular; Wedderburn data does not "
             "match the span"
-        ) from exc
-    D_mat = np.tensordot(coeffs, B, axes=(0, 0))
-    scale = max(hs_norm(D_mat), 1.0)
-    if hs_norm(D_mat - dagger(D_mat)) > RESULT_TOL * scale:
-        raise StateError("density element came out non-Hermitian; state is not real-valued on the span")
-    D_mat = hermitize(D_mat)
-
-    spectra = []
+        )
+        return [y if isinstance(y, Exception) else error for y in out]
+    D_mat = (coeffs[:, None] @ B.reshape(n, D * D)).reshape(-1, D, D)
+    scale = np.maximum(np.linalg.norm(D_mat, axis=(1, 2)), 1.0)
+    errors = [None if defect <= RESULT_TOL * sc else StateError(
+        "density element came out non-Hermitian; state is not real-valued on the span")
+        for defect, sc in zip(np.linalg.norm(D_mat - dagger(D_mat), axis=(1, 2)), scale)]
+    D_mat, spectra = hermitize(D_mat), []
     for V, n_k, m_k in zip(blocks.ranges, blocks.block_ranks, blocks.multiplicities):
-        comp = hermitize(dagger(V) @ D_mat @ V)
-        vals = np.linalg.eigvalsh(comp)
-        groups = vals.reshape(n_k, m_k)
-        spread = float((groups.max(axis=1) - groups.min(axis=1)).max()) if m_k > 1 else 0.0
-        if spread > RESULT_TOL * max(1.0, float(np.abs(vals).max())):
-            raise DecompositionError(
+        vals = np.linalg.eigvalsh(hermitize(dagger(V) @ D_mat @ V))
+        groups = vals.reshape(-1, n_k, m_k)
+        spread = (groups.max(axis=2) - groups.min(axis=2)).max(axis=1)
+        block_vals = groups.mean(axis=2)
+        for j in np.flatnonzero(spread > RESULT_TOL * np.maximum(1.0, np.abs(vals).max(axis=1))):
+            errors[j] = errors[j] or DecompositionError(
                 f"block eigenvalues do not come in multiplicity-{m_k} groups "
-                f"(spread {spread:.3e})"
+                f"(spread {spread[j]:.3e})"
             )
-        block_vals = groups.mean(axis=1)
-        if block_vals.size and float(block_vals.min()) < -PSD_TOL:
-            raise StateError(
-                f"restricted state has negative block eigenvalue {block_vals.min()!r}"
+        for j in np.flatnonzero(block_vals.min(axis=1) < -PSD_TOL):
+            errors[j] = errors[j] or StateError(
+                f"restricted state has negative block eigenvalue {block_vals[j].min()!r}"
             )
         spectra.append(np.clip(block_vals, 0.0, None))
-    return DensityElement(matrix=D_mat, block_spectra=tuple(spectra), blocks=blocks)
+    for j, i in enumerate(pos):
+        out[i] = errors[j] or DensityElement(
+            matrix=D_mat[j], block_spectra=tuple(spec[j] for spec in spectra), blocks=blocks)
+    return out
 
 
 @dataclass(frozen=True)
@@ -254,26 +286,73 @@ def restriction_entropy(
         span, so a loop over states on one span computes it once either way.
     seed : int
         Recorded on the report; no step is random, so it has no effect.
+
+    This is :func:`restriction_entropies` on a batch of one.
+    """
+    return restriction_entropies(span, [state], method, seed, rtol, oracle_tol, blocks)[0]
+
+
+def state_chunks(span: OperatorSpan, count: int) -> list[slice]:
+    """Consecutive slices of ``count`` states on ``span`` that are stacked
+    at once: at most ``STACK_BUDGET`` numbers at n*D^2 per state, one state
+    at least."""
+    return chunks(count, span.dim * span.ambient_dim**2, STACK_BUDGET)
+
+
+def restriction_entropies(
+    span: OperatorSpan,
+    states,
+    method: str = "both",
+    seed: int = 0,
+    rtol: float | None = None,
+    oracle_tol: float = ORACLE_TOL,
+    blocks: WedderburnData | None = None,
+) -> tuple[RestrictionReport, ...]:
+    """:func:`restriction_entropy` for many states on one span, one report each.
+
+    The states are solved in the consecutive chunks of :func:`state_chunks`.
+    Inside a chunk every per-state stage runs stacked over the states that
+    share a shape: factor width, then GNS dimension and each later rank.
+    A state's report does not depend on which other states share its batch.
+    A state that fails is dropped from its chunk, and once the chunk is done
+    the error of its first failing state in input order is raised, as a
+    loop of :func:`restriction_entropy` would raise it.
     """
     if method not in ("gns", "wedderburn", "both"):
         raise ValueError(f"unknown method {method!r}")
     rtol = span.rtol if rtol is None else rtol
+    states, reports = list(states), []
+    for c in state_chunks(span, len(states)):
+        reports += raise_first(_solve(span, states[c], method, seed, rtol, oracle_tol, blocks))
+    return tuple(reports)
 
-    gns_space = iso = None
-    spectrum_gns = None
+
+def _solve(span, states, method, seed, rtol, oracle_tol, blocks) -> list:
+    """The reports of one chunk of states, an error in place of each that fails."""
+    spaces = isos = spectra_gns = dens = [None] * len(states)
+    results = states
     if method in ("gns", "both"):
-        gns_space = build_gns(span, state, rtol=rtol)
-        iso = isotypic_decompose(gns_space, seed=seed, rtol=rtol)
-        spectrum_gns = gns_density(iso).weights
-
-    dens = None
-    spectrum_blocks = None
+        spaces = _build_gns(span, states, rtol)
+        isos = _isotypic(spaces, seed, rtol, CLUSTER_TOL)
+        spectra_gns = results = [
+            iso if isinstance(iso, Exception) else attempt(lambda: gns_density(iso).weights)
+            for iso in isos
+        ]
     if method in ("wedderburn", "both"):
         if blocks is None:
-            blocks = wedderburn(span, seed=seed, rtol=rtol)
-        dens = density_element(span, blocks, state, rtol=rtol)
-        spectrum_blocks = dens.spectrum()
+            blocks = attempt(wedderburn, span, seed=seed, rtol=rtol)
+        failed = blocks if isinstance(blocks, Exception) else None
+        live = [r if isinstance(r, Exception) else failed or st for r, st in zip(results, states)]
+        dens = results = _density_elements(span, blocks, live) if failed is None else live
+    return [
+        result if isinstance(result, Exception) else attempt(
+            _report, method, seed, oracle_tol, spaces[i], isos[i], spectra_gns[i], dens[i])
+        for i, result in enumerate(results)
+    ]
 
+
+def _report(method, seed, oracle_tol, gns_space, iso, spectrum_gns, dens) -> RestrictionReport:
+    spectrum_blocks = dens.spectrum() if dens is not None else None
     agree = None
     if method == "both":
         agree = spectra_agree(spectrum_gns, spectrum_blocks, tol=oracle_tol)
@@ -287,7 +366,7 @@ def restriction_entropy(
     s_blocks = von_neumann_entropy(spectrum_blocks) if spectrum_blocks is not None else None
     spectrum = spectrum_gns if spectrum_gns is not None else spectrum_blocks
     s_nats = s_gns if s_gns is not None else s_blocks
-    report = RestrictionReport(
+    return RestrictionReport(
         method=method,
         entropy_nats=s_nats,
         entropy_bits=s_nats / LN2,
@@ -313,4 +392,3 @@ def restriction_entropy(
         isotypic=iso,
         density=dens,
     )
-    return report

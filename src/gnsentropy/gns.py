@@ -27,14 +27,19 @@ commutators. A component's multiplicity m is read off a trace, as the
 square root of the dimension of the commutant's corner, and its irrep
 dimension is its rank over m: the block route reads its blocks with the
 same :func:`gnsentropy.star_algebra.read_blocks`, applied to its own
-algebra. Its weight spreads over m Schmidt directions: the refined weights
-are the spectrum of the cyclic vector's state on that corner, its rank-one
-projector projected onto the commutant and compressed to the component,
-with no random draws.
+algebra. A component's weight is |V^dag xi|^2 for its range V, and it
+spreads over m Schmidt directions: the refined weights are the spectrum of
+the cyclic vector's state on that corner, its rank-one projector projected
+onto the commutant and compressed to the component, with no random draws.
 
-The representation's products are streamed in chunks of the span's
-basis, so no intermediate holds more than the n*D^2 + n^3 numbers of the
-streamed structure constants.
+Every stage takes a list of states or spaces and runs stacked: one SVD,
+eigensolve or matrix product per group of items of one shape. A rank cut
+counts per item and regroups the stack by that count, and an item that
+fails carries its error on in place of its result. :func:`build_gns` and
+:func:`isotypic_decompose` are batches of one. The representation's
+products are streamed in chunks of the span's basis, so no intermediate
+holds more than the n*D^2 + n^3 numbers of the streamed structure
+constants per state.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosureError, DecompositionError, StateError
+from .errors import ClosureError, DecompositionError, StateError, attempt, raise_first
 from .linalg import (
     CLOSURE_SLACK,
     CLUSTER_TOL,
@@ -53,13 +58,17 @@ from .linalg import (
     NULL_FLOOR,
     PSD_TOL,
     RESULT_TOL,
+    batched,
     chunks,
     dagger,
     eigh_null_split,
     hermitize,
     hs_norm,
+    regroup,
     right_singular,
     row_basis,
+    stack,
+    take,
 )
 from .star_algebra import OperatorSpan, read_blocks
 
@@ -164,7 +173,9 @@ class AlgebraState:
 def gram_matrix(algebra, state: AlgebraState, validate: bool = True) -> np.ndarray:
     """Gram matrix of a span's basis (or of an explicit matrix list) under a state."""
     G = state.gram(_matrix_stack(algebra, state))
-    return _check_gram_psd(G) if validate and G.size else G
+    if validate and G.size:
+        raise_first(_psd_errors(G[None]))
+    return G
 
 
 def _matrix_stack(algebra, state: AlgebraState) -> np.ndarray:
@@ -179,12 +190,12 @@ def _matrix_stack(algebra, state: AlgebraState) -> np.ndarray:
     return mats
 
 
-def _check_gram_psd(G: np.ndarray) -> np.ndarray:
-    """Return a Gram matrix, rejecting it if its eigenvalues dip below roundoff."""
-    vals = np.linalg.eigvalsh(hermitize(G))
-    if float(vals[0]) < -PSD_TOL * max(float(vals[-1]), 1.0):
-        raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
-    return G
+def _psd_errors(G: np.ndarray) -> list:
+    """For a stack of Gram matrices, a StateError for each whose eigenvalues
+    dip below roundoff, else None."""
+    return [StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
+            if float(vals[0]) < -PSD_TOL * max(float(vals[-1]), 1.0) else None
+            for vals in np.linalg.eigvalsh(hermitize(G))]
 
 
 @dataclass(frozen=True)
@@ -243,50 +254,79 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     E: ``rep_matrices[a] = E^dag (B_a (x) 1_k) E`` and the cyclic vector is
     ``E^dag vec(L)``, with no structure constants. The span must be
     multiplicatively closed; :meth:`OperatorSpan.closure_residual` checks
-    that from the products of the basis with the generators.
+    that from the products of the basis with the generators. This is the
+    batch of one of the stacked construction that
+    :func:`gnsentropy.entropy.restriction_entropies` runs over many states.
     """
     rtol = span.rtol if rtol is None else rtol
+    return raise_first(_build_gns(span, [state], rtol))[0]
+
+
+def _state_factor(span: OperatorSpan, state: AlgebraState) -> np.ndarray:
+    _matrix_stack(span, state)
+    return state.factor
+
+
+def _closure_error(span: OperatorSpan, rtol: float) -> ClosureError | None:
+    resid, cut = span.closure_residual(), CLOSURE_SLACK * rtol
+    if resid <= cut:
+        return None
+    factors = (f"its {len(span.generators)} generators" if span.generators is not None
+               else f"its {span.dim} basis elements")
+    return ClosureError(
+        f"span is not multiplicatively closed: the products of its basis with "
+        f"{factors} leave residual {resid:.3e} above the cut {cut:.3e} "
+        "(CLOSURE_SLACK * rtol); GNS needs an algebra"
+    )
+
+
+@batched
+def _build_gns(span: OperatorSpan, states: list, rtol: float) -> list:
+    """:func:`build_gns` for a list of states on one span: a GnsSpace per
+    state, or the error the state failed with. States are stacked by the
+    width k of their factor for the Gram check and the SVD split, and then
+    by GNS dimension r for the representation."""
     if not span.has_unit:
         raise ValueError("GNS construction requires a unital span")
-    B, L = _matrix_stack(span, state), state.factor
-    V = (B @ L).reshape(span.dim, -1)
-    G = _check_gram_psd(V.conj() @ V.T)
-    u, s, vh = right_singular(V.T, left=True)
-    n_keep = int(np.count_nonzero(s**2 > max(rtol * s[0] ** 2, NULL_FLOOR)))
-    null_coords = vh[n_keep:].conj().T
-    # ascending in s, as an eigensolve of G orders them: the weights do not
-    # depend on this order, but their roundoff does (4 grid rows move without it)
-    Q = (vh[:n_keep].conj().T / s[:n_keep])[:, ::-1]
-    E = u[:, :n_keep][:, ::-1].copy()
-
-    resid, cut = span.closure_residual(), CLOSURE_SLACK * rtol
-    if resid > cut:
-        factors = (f"its {len(span.generators)} generators" if span.generators is not None
-                   else f"its {span.dim} basis elements")
-        raise ClosureError(
-            f"span is not multiplicatively closed: the products of its basis with "
-            f"{factors} leave residual {resid:.3e} above the cut {cut:.3e} "
-            "(CLOSURE_SLACK * rtol); GNS needs an algebra"
-        )
-    n, D, r = span.dim, span.ambient_dim, n_keep
-    En, Eh = E.reshape(D, -1), E.conj().T
-    rep = np.empty((n, r, r), dtype=complex)
-    # the chunks hold no more numbers than the streamed structure constants'
-    # products and coefficients, n*D^2 + n^3
-    for c in chunks(n, E.size, n * D**2 + n**3):
-        # columns vec(B_a E_j): B_a times E_j reshaped D x k, one GEMM per chunk
-        rep[c] = Eh @ (B[c].reshape(-1, D) @ En).reshape(-1, E.shape[0], r)
-    return GnsSpace(
-        span=span,
-        state=state,
-        gram=G,
-        null_coords=null_coords,
-        quotient_coords=Q,
-        rep_matrices=rep,
-        cyclic_vector=Eh @ L.ravel(),
-        rtol=rtol,
-        cyclic_basis=E,
-    )
+    B, n, D = span.basis, span.dim, span.ambient_dim
+    out = [st if isinstance(st, Exception) else attempt(_state_factor, span, st) for st in states]
+    for k, pos in regroup([None if isinstance(L, Exception) else L.shape[1] for L in out]):
+        L = stack([out[i] for i in pos])
+        V = (B @ L[:, None]).reshape(len(pos), n, D * k)
+        G = V.conj() @ V.swapaxes(1, 2)
+        errors = _psd_errors(G)
+        for i, err in zip(pos, errors):
+            out[i] = err or out[i]
+        ok = np.array([err is None for err in errors])
+        pos, L, V, G = pos[ok], L[ok], V[ok], G[ok]
+        u, s, vh = right_singular(V.swapaxes(1, 2), left=True)
+        if pos.size and (err := _closure_error(span, rtol)):
+            for i in pos:
+                out[i] = err
+            continue
+        n_keep = np.count_nonzero(s**2 > np.maximum(rtol * s[:, :1] ** 2, NULL_FLOOR), axis=1)
+        for r, sub in regroup(n_keep):
+            m = len(sub)
+            vh_sub = take(vh, sub)
+            null_coords = dagger(vh_sub[:, r:])
+            # ascending in s, as an eigensolve of G orders them: the weights do not
+            # depend on this order, but their roundoff does (4 grid rows move without it)
+            Q = (dagger(vh_sub[:, :r]) / take(s, sub)[:, None, :r])[..., ::-1]
+            E = take(u, sub)[:, :, :r][..., ::-1].copy()
+            En, Eh = E.reshape(m, D, k * r), dagger(E)
+            rep = np.empty((m, n, r, r), dtype=complex)
+            # the chunks hold no more numbers per state than the streamed
+            # structure constants' products and coefficients, n*D^2 + n^3
+            for c in chunks(n, D * k * r, n * D**2 + n**3):
+                # columns vec(B_a E_j): B_a times E_j reshaped D x k, one GEMM per chunk
+                rep[:, c] = Eh[:, None] @ (B[c].reshape(-1, D) @ En).reshape(m, -1, D * k, r)
+            cyclic = (Eh @ take(L, sub).reshape(m, D * k, 1))[..., 0]
+            for j, i in enumerate(pos[sub]):
+                out[i] = GnsSpace(span=span, state=states[i], gram=G[sub[j]],
+                                  null_coords=null_coords[j], quotient_coords=Q[j],
+                                  rep_matrices=rep[j], cyclic_vector=cyclic[j], rtol=rtol,
+                                  cyclic_basis=E[j])
+    return out
 
 
 @dataclass(frozen=True)
@@ -327,8 +367,9 @@ class IsotypicDecomposition:
         return np.concatenate([c.refined_weights for c in self.components])
 
 
-def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
-    """Commutant of the GNS representation, from the GNS triple alone.
+@batched
+def _quotient_commutant(spaces: list, rtol: float) -> list:
+    """Commutant of each GNS representation in a list, from the GNS triple alone.
 
     With xi the cyclic vector, every T in the commutant is fixed by
     ``u = T xi``: ``T [Y] = T pi(Y) xi = pi(Y) u``. Conversely ``u`` gives
@@ -339,22 +380,34 @@ def _quotient_commutant(space: GnsSpace, rtol: float) -> OperatorSpan:
     stacked ``pi(X_nu)``, and the images ``T_u e_j = pi(X_j) u`` of the
     quotient basis (the columns of ``quotient_coords``) span the commutant.
     Only ``rep_matrices``, ``null_coords`` and ``quotient_coords`` are
-    read: O(n r^3) work, with no products in the ambient space.
+    read: O(n r^3) work, with no products in the ambient space. Spaces of one
+    shape share each SVD; an error in place of a space is passed on.
     """
-    rep, r = space.rep_matrices, space.gns_dim
-    cond = np.tensordot(space.null_coords, rep, axes=(0, 0)).reshape(-1, r)
-    # T_u xi = u, so u -> T_u has norm at least 1 and the cut is relative
-    # to 1 where the condition is smaller, e.g. pure roundoff or no rows
-    s, vh = right_singular(cond)
-    allowed = vh[np.count_nonzero(s > rtol * max(1.0, s[0])):].conj()
-    # pi_x[j] = pi(X_j), and T_u[i, j] = (pi(X_j) u)_i
-    pi_x = np.tensordot(space.quotient_coords, rep, axes=(0, 0))
-    images = (pi_x @ allowed.T).transpose(2, 1, 0)
-    return OperatorSpan(row_basis(images.reshape(-1, r * r), rtol).reshape(-1, r, r), rtol=rtol)
+    out = list(spaces)
+    for (n, n_null, r), pos in regroup(
+            [None if isinstance(sp, Exception) else sp.null_coords.shape + (sp.gns_dim,)
+             for sp in spaces]):
+        rep = stack([spaces[i].rep_matrices for i in pos]).reshape(-1, n, r * r)
+        null = stack([spaces[i].null_coords for i in pos])
+        quot = stack([spaces[i].quotient_coords for i in pos])
+        s, vh = right_singular((null.swapaxes(1, 2) @ rep).reshape(len(pos), n_null * r, r))
+        # T_u xi = u, so u -> T_u has norm at least 1 and the cut is relative
+        # to 1 where the condition is smaller, e.g. pure roundoff or no rows
+        cut = np.count_nonzero(s > rtol * np.maximum(1.0, s[:, :1]), axis=1)
+        # pi_x[j] = pi(X_j), and T_u[i, j] = (pi(X_j) u)_i
+        pi_x = (quot.swapaxes(1, 2) @ rep).reshape(-1, r, r, r)
+        for c, sub in regroup(cut):
+            allowed = take(vh, sub)[:, c:].conj()
+            images = (take(pi_x, sub) @ allowed.swapaxes(1, 2)[:, None]).transpose(0, 3, 2, 1)
+            basis, rank = row_basis(images.reshape(len(sub), -1, r * r), rtol)
+            for j, i in enumerate(pos[sub]):
+                out[i] = OperatorSpan(basis[j, : rank[j]].reshape(-1, r, r), rtol=rtol)
+    return out
 
 
-def _commutant_center(space: GnsSpace, C: OperatorSpan, rtol: float) -> OperatorSpan:
-    """Center of the commutant ``C``: its intersection with ``pi(A)``.
+@batched
+def _commutant_center(spaces: list, commutants: list, rtol: float) -> list:
+    """Center of each commutant ``C``: its intersection with ``pi(A)``.
 
     ``pi(A)`` is a unital *-algebra, hence its own bicommutant, so ``C``
     meets ``C'`` exactly where it meets ``pi(A)``. Over orthonormal bases of
@@ -362,40 +415,110 @@ def _commutant_center(space: GnsSpace, C: OperatorSpan, rtol: float) -> Operator
     are the cosines of the principal angles: exactly 1 on the center and 0
     elsewhere, since the rest of ``C`` and of ``pi(A)`` are the traceless
     parts ``1 (x) X`` and ``Y (x) 1`` of each component, which are
-    orthogonal. The cut sits at 1/2.
+    orthogonal. The cut sits at 1/2. An error in place of a commutant is
+    passed on.
     """
-    r = space.gns_dim
-    Cb, Ab = C.basis.reshape(C.dim, r * r), row_basis(space.rep_matrices.reshape(-1, r * r), rtol)
-    u, cosines, _ = np.linalg.svd(Cb.conj() @ Ab.T, full_matrices=False)
-    return OperatorSpan((u[:, cosines > 0.5].T @ Cb).reshape(-1, r, r), rtol=rtol)
+    out = list(commutants)
+    live = [None if isinstance(C, Exception) else i for i, C in enumerate(commutants)]
+    rep_bases = {}
+    for (n, r), pos in regroup([None if i is None else spaces[i].rep_matrices.shape[:2]
+                                for i in live]):
+        rep = stack([spaces[i].rep_matrices for i in pos]).reshape(-1, n, r * r)
+        basis, rank = row_basis(rep, rtol)
+        rep_bases.update((i, basis[j, : rank[j]]) for j, i in enumerate(pos))
+    for (r, c, a), pos in regroup(
+            [None if i is None else (spaces[i].gns_dim, commutants[i].dim, len(rep_bases[i]))
+             for i in live]):
+        Cb = stack([commutants[i].basis for i in pos]).reshape(-1, c, r * r)
+        Ab = stack([rep_bases[i] for i in pos])
+        u, cosines, _ = np.linalg.svd(Cb.conj() @ Ab.swapaxes(1, 2), full_matrices=False)
+        for z, sub in regroup(np.count_nonzero(cosines > 0.5, axis=1)):
+            Z = (take(u, sub)[:, :, :z].swapaxes(1, 2) @ take(Cb, sub)).reshape(len(sub), z, r, r)
+            for j, i in enumerate(pos[sub]):
+                out[i] = OperatorSpan(Z[j], rtol=rtol)
+    return out
 
 
-def _refined_weights(
-    V: np.ndarray, commutant: np.ndarray, cyclic: np.ndarray, n_k: int, m_k: int
-) -> np.ndarray:
-    """Schmidt weights of the cyclic vector inside one isotypic component.
+@batched
+def _components(spaces: list, commutants: list, tables: list, seed: int) -> list:
+    """The isotypic decomposition of each space from its commutant's block table.
 
-    ``V`` holds orthonormal columns spanning the component, ``P = V V^dag``.
-    On the range of ``P`` the representation acts as ``M_n (x) 1_m`` and
-    the commutant's corner as ``1_n (x) M_m``. The Hilbert-Schmidt
-    projection of ``|v><v|`` (``v = P cyclic``) onto that corner is the
-    trace-preserving conditional expectation ``1_n (x) sigma / n``, with
-    ``sigma`` the state of ``v`` on the corner: its eigenvalues come in m
-    groups of n equal values, and n times each group value is a weight.
-    ``P`` is central in the commutant (orthonormal basis ``commutant``), so
-    that is the projection onto the whole commutant, compressed to ``V``.
+    A component's weight is ``|V^dag xi|^2`` for its range V (orthonormal
+    columns) and the cyclic vector xi, and its projection ``P = V V^dag``
+    is formed for the report alone; both are stacked over the components of
+    one shape. A component of multiplicity m > 1 spreads its weight over m
+    Schmidt directions. On the range of ``P`` the representation acts as
+    ``M_n (x) 1_m`` and the commutant's corner as ``1_n (x) M_m``. The
+    Hilbert-Schmidt projection of ``|v><v|`` (``v = P xi``) onto that
+    corner is the trace-preserving conditional expectation
+    ``1_n (x) sigma / n``, with ``sigma`` the state of ``v`` on the corner:
+    its eigenvalues come in m groups of n equal values, and n times each
+    group value is a weight. ``P`` is central in the commutant, so that is
+    the projection onto the whole commutant, compressed to ``V``.
     """
-    # <C_j, |xi><xi|> = conj(<xi| C_j |xi>)
-    Y = np.tensordot(((commutant @ cyclic) @ cyclic.conj()).conj(), commutant, axes=(0, 0))
-    vals = np.linalg.eigvalsh(hermitize(dagger(V) @ Y @ V))[::-1]
-    groups = vals.reshape(m_k, n_k)
-    spread = float((groups.max(axis=1) - groups.min(axis=1)).max())
-    if spread > RESULT_TOL * max(1.0, float(np.abs(vals).max())):
-        raise DecompositionError(
-            f"corner expectation eigenvalues do not come in {m_k} groups of "
-            f"{n_k} (spread {spread:.3e})"
-        )
-    return np.clip(n_k * groups.mean(axis=1), 0.0, None)
+    pairs = [(i, m, n, V) for i, table in enumerate(tables)
+             if not isinstance(table, Exception) for m, n, V in table]
+    weight, proj, refined = {}, {}, {}
+    for _, pos in regroup([V.shape for *_, V in pairs]):
+        V = stack([pairs[p][3] for p in pos])
+        y = (dagger(V) @ stack([spaces[pairs[p][0]].cyclic_vector for p in pos])[..., None])[..., 0]
+        weight.update(zip(pos, (y.conj() * y).real.sum(axis=1).tolist()))
+        proj.update(zip(pos, V @ dagger(V)))
+    for (r, c, n, m), pos in regroup(
+            [(V.shape[0], commutants[i].dim, n, m) if m > 1 else None for i, m, n, V in pairs]):
+        C = stack([commutants[pairs[p][0]].basis for p in pos])
+        xi = stack([spaces[pairs[p][0]].cyclic_vector for p in pos])
+        V = stack([pairs[p][3] for p in pos])
+        # <C_j, |xi><xi|> = conj(<xi| C_j |xi>)
+        coeffs = ((C @ xi[:, None, :, None])[..., 0] @ xi.conj()[..., None]).conj()
+        Y = (coeffs.swapaxes(1, 2) @ C.reshape(-1, c, r * r)).reshape(-1, r, r)
+        vals = np.linalg.eigvalsh(hermitize(dagger(V) @ Y @ V))[:, ::-1]
+        groups = vals.reshape(-1, m, n)
+        spread = (groups.max(axis=2) - groups.min(axis=2)).max(axis=1)
+        scale = np.maximum(1.0, np.abs(vals).max(axis=1))
+        for j, (p, weights) in enumerate(zip(pos, np.clip(n * groups.mean(axis=2), 0.0, None))):
+            total, w_k = weights.sum(), weight[p]
+            if spread[j] > RESULT_TOL * scale[j]:
+                weights = DecompositionError(
+                    f"corner expectation eigenvalues do not come in {m} groups of "
+                    f"{n} (spread {spread[j]:.3e})"
+                )
+            elif abs(total - w_k) > RESULT_TOL * max(w_k, 1.0):
+                weights = DecompositionError(f"refined weights sum to {total!r}, expected {w_k!r}")
+            refined[p] = weights
+    components: dict = {}
+    for p, (i, m, n, _) in enumerate(pairs):
+        weights = refined.get(p, np.array([weight[p]]))
+        components.setdefault(i, []).append(weights if isinstance(weights, Exception) else
+                                            IsotypicComponent(projection=proj[p], irrep_dim=n,
+                                                              multiplicity=m, weight=weight[p],
+                                                              refined_weights=weights))
+    out = list(tables)
+    for i, found in components.items():
+        out[i] = attempt(_decomposition, found, commutants[i].dim, seed)
+    return out
+
+
+def _decomposition(components: list, commutant_dim: int, seed: int) -> IsotypicDecomposition:
+    components = sorted(raise_first(components),
+                        key=lambda c: (-c.irrep_dim, -c.multiplicity, -c.weight))
+    total = sum(c.weight for c in components)
+    if abs(total - 1.0) > RESULT_TOL:
+        raise DecompositionError(f"component weights sum to {total!r}, not 1")
+    return IsotypicDecomposition(components=tuple(components), commutant_dim=commutant_dim,
+                                 seed=seed)
+
+
+def _isotypic(spaces: list, seed: int, rtol: float, cluster_tol: float) -> list:
+    """:func:`isotypic_decompose` for a list of spaces: a decomposition per
+    space, or the error it failed with. Each stage runs stacked over the
+    spaces that are still going."""
+    spaces = [sp if isinstance(sp, Exception) or sp.gns_dim
+              else ValueError("GNS space is zero-dimensional") for sp in spaces]
+    commutants = _quotient_commutant(spaces, rtol)
+    centers = _commutant_center(spaces, commutants, rtol)
+    tables = read_blocks(commutants, centers, cluster_tol, "commutant corner")
+    return _components(spaces, commutants, tables, seed)
 
 
 def isotypic_decompose(
@@ -420,42 +543,11 @@ def isotypic_decompose(
     component's rank over it. Components come back sorted by descending
     irrep dimension, then multiplicity. No step is random: ``seed`` is
     accepted for compatibility, recorded on the result and has no effect.
+    This is the batch of one of the stacked decomposition.
     """
     rtol = space.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
-    if space.gns_dim == 0:
-        raise ValueError("GNS space is zero-dimensional")
-    C = _quotient_commutant(space, rtol)
-    Z = _commutant_center(space, C, rtol)
-    cyclic = space.cyclic_vector
-    components = []
-    for m_k, n_k, V in read_blocks(C, Z, cluster_tol, "commutant corner"):
-        P = V @ dagger(V)
-        w_k = float(np.vdot(cyclic, P @ cyclic).real)
-        if m_k == 1:
-            refined = np.array([w_k])
-        else:
-            refined = _refined_weights(V, C.basis, cyclic, n_k, m_k)
-            if abs(refined.sum() - w_k) > RESULT_TOL * max(w_k, 1.0):
-                raise DecompositionError(
-                    f"refined weights sum to {refined.sum()!r}, expected {w_k!r}"
-                )
-        components.append(
-            IsotypicComponent(
-                projection=P,
-                irrep_dim=n_k,
-                multiplicity=m_k,
-                weight=w_k,
-                refined_weights=refined,
-            )
-        )
-    components.sort(key=lambda c: (-c.irrep_dim, -c.multiplicity, -c.weight))
-    total = sum(c.weight for c in components)
-    if abs(total - 1.0) > RESULT_TOL:
-        raise DecompositionError(f"component weights sum to {total!r}, not 1")
-    return IsotypicDecomposition(
-        components=tuple(components), commutant_dim=C.dim, seed=seed
-    )
+    return raise_first(_isotypic([space], seed, rtol, cluster_tol))[0]
 
 
 def gns_density(iso: IsotypicDecomposition, tol: float = DEFAULT_RTOL):

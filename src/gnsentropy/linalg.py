@@ -11,6 +11,7 @@ times the largest eigenvalue or singular value of the matrix being cut.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,6 +52,11 @@ CLOSURE_SLACK = 1e3
 
 #: How far a dimension or multiplicity reading may sit from an integer.
 INTEGER_TOL = 1e-6
+
+#: Numbers a batch of states on one span may stack at once, at n*D^2 per
+#: state (n the span's dimension, D its ambient one): larger batches are
+#: solved in consecutive chunks, of one state at least.
+STACK_BUDGET = 1 << 14
 
 
 def dagger(x: np.ndarray) -> np.ndarray:
@@ -114,23 +120,26 @@ def orthonormalize_rows(
     return np.array(kept, dtype=complex).reshape(len(kept), width)
 
 
-def hermitian_span_basis(mats: np.ndarray, rtol: float | None = None) -> np.ndarray:
-    """Orthonormal Hermitian matrices spanning the Hermitian parts of a stack.
+def hermitian_span_basis(mats: np.ndarray, rtol: float | None = None):
+    """Orthonormal Hermitian matrices spanning the Hermitian parts of a stack,
+    or of each stack in a batch (..., n, D, D).
 
     The 2n candidates ``(X + X^dag)/2`` and ``(X - X^dag)/2i`` span a real
     vector space, so they are cut as real vectors (real and imaginary parts
     side by side) by one SVD: exactly the right singular vectors whose
     singular value exceeds ``rtol`` times the largest are kept. For a
-    *-closed span of complex dimension n that gives n matrices.
+    *-closed span of complex dimension n that gives n matrices. Returns
+    ``(herm, rank)``: the first ``rank`` matrices of ``herm`` are kept.
     """
     rtol = DEFAULT_RTOL if rtol is None else rtol
     mats = np.asarray(mats, dtype=complex)
-    n, D = mats.shape[0], mats.shape[-1]
+    D = mats.shape[-1]
     adj = dagger(mats)
-    cands = np.concatenate([0.5 * (mats + adj), -0.5j * (mats - adj)]).reshape(2 * n, D * D)
-    real = row_basis(np.hstack([cands.real, cands.imag]), rtol)
-    rows = real[:, : D * D] + 1j * real[:, D * D :]
-    return hermitize(rows.reshape(-1, D, D))
+    cands = np.concatenate([0.5 * (mats + adj), -0.5j * (mats - adj)], axis=-3)
+    cands = cands.reshape(cands.shape[:-2] + (D * D,))
+    real, rank = row_basis(np.concatenate([cands.real, cands.imag], axis=-1), rtol)
+    rows = real[..., : D * D] + 1j * real[..., D * D :]
+    return hermitize(rows.reshape(rows.shape[:-1] + (D, D))), rank
 
 
 def eigh_null_split(M: np.ndarray, rtol: float | None = None):
@@ -148,7 +157,8 @@ def eigh_null_split(M: np.ndarray, rtol: float | None = None):
 
 
 def right_singular(A: np.ndarray, left: bool = False):
-    """Singular values and all right singular vectors (rows of ``vh``) of A.
+    """Singular values and all right singular vectors (rows of ``vh``) of A,
+    or of each matrix in a stack A (..., rows, cols).
 
     A tall A takes the thin SVD, which already gives a square ``vh``, so no
     rows x rows left factor is ever formed. The values are descending and
@@ -156,17 +166,19 @@ def right_singular(A: np.ndarray, left: bool = False):
     or ``(u, s, vh)`` with ``left=True``: ``u`` holds the min(rows, cols)
     left singular vectors as columns, paired with the leading rows of ``vh``.
     """
-    u, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    padded = np.zeros(A.shape[1])
-    padded[: s.size] = s
+    u, s, vh = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
+    padded = np.zeros(A.shape[:-2] + A.shape[-1:])
+    padded[..., : s.shape[-1]] = s
     return (u, padded, vh) if left else (padded, vh)
 
 
-def row_basis(A: np.ndarray, rtol: float) -> np.ndarray:
-    """Orthonormal rows spanning the numerical row space of A: the right
-    singular vectors whose singular value exceeds ``rtol`` times the largest."""
+def row_basis(A: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the numerical row space of A, or of each
+    matrix in a stack A (..., rows, cols): returns ``(vh, rank)``, the right
+    singular vectors and how many lead rows of ``vh`` to keep, those whose
+    singular value exceeds ``rtol`` times the largest."""
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    return vh[: np.count_nonzero(s > rtol * s.max(initial=0.0))]
+    return vh, np.count_nonzero(s > rtol * s.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
 
 
 def chunks(n: int, item_size: int, budget: int) -> list[slice]:
@@ -176,16 +188,62 @@ def chunks(n: int, item_size: int, budget: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def eig_clusters(vals: np.ndarray, tol: float) -> list[slice]:
-    """Group ascending real values into clusters separated by gaps > tol."""
-    slices = []
-    start = 0
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > tol:
-            slices.append(slice(start, i))
-            start = i
-    slices.append(slice(start, len(vals)))
-    return slices
+def regroup(keys) -> list[tuple[object, np.ndarray]]:
+    """``(key, positions)`` for each distinct key, in order of first
+    appearance, ``None`` keys skipped: one stacked call per key. A rank cut
+    on a stack counts per item, and regrouping by that count gives the next
+    stacked call one shape."""
+    groups: dict = {}
+    for i, key in enumerate(keys.tolist() if isinstance(keys, np.ndarray) else keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return [(key, np.array(pos)) for key, pos in groups.items()]
+
+
+def stack(arrays: list) -> np.ndarray:
+    """Same-shape arrays as one C-ordered stack; a batch of one is a view of
+    its array when that is C-ordered already, and a copy otherwise."""
+    return np.ascontiguousarray(arrays[0])[None] if len(arrays) == 1 else np.array(arrays)
+
+
+def take(a: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """``a[sub]`` for the sorted positions ``sub`` of a C-ordered stack, as
+    ``a`` itself when ``sub`` holds every item: the same values and layout,
+    with no copy."""
+    return a if len(sub) == len(a) else a[sub]
+
+
+def batched(stage):
+    """Decorate a stage that maps its positional ``list`` arguments, one
+    entry per item, to a list of results, an exception standing in for the
+    result of an item that failed. When a stacked LAPACK call raises
+    ``LinAlgError`` the stage is rerun on each item as a batch of one, so
+    the error lands on the items that raise it."""
+    @functools.wraps(stage)
+    def run(*args, **kw):
+        try:
+            return stage(*args, **kw)
+        except np.linalg.LinAlgError as exc:
+            size = next(len(a) for a in args if isinstance(a, list))
+            if size == 1:
+                return [exc]
+            return [run(*(a[i:i + 1] if isinstance(a, list) else a for a in args), **kw)[0]
+                    for i in range(size)]
+    return run
+
+
+def eig_clusters(vals: np.ndarray, tol: float) -> tuple[list[list[slice]], np.ndarray]:
+    """Group each row of a stack of ascending real values (N, t) into
+    clusters separated by gaps > tol: the slices of each row, and its
+    smallest separating gap (inf when there is none)."""
+    steps = np.diff(vals, axis=-1)
+    apart = steps > tol
+    cuts: list[list[int]] = [[0] for _ in apart]
+    rows, cols = np.nonzero(apart)
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        cuts[row].append(col + 1)
+    clusters = [[slice(a, b) for a, b in zip(c, c[1:] + [vals.shape[-1]])] for c in cuts]
+    return clusters, np.where(apart, steps, np.inf).min(axis=-1, initial=np.inf)
 
 
 def check_int(value: float, what: str) -> int:

@@ -21,12 +21,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosureError, DecompositionError
+from .errors import ClosureError, DecompositionError, attempt, raise_first
 from .linalg import (
     CLOSURE_SLACK,
     CLUSTER_TOL,
     DEFAULT_RTOL,
     as_square,
+    batched,
     check_int,
     check_square,
     chunks,
@@ -36,6 +37,8 @@ from .linalg import (
     hermitian_span_basis,
     hs_norm,
     orthonormalize_rows,
+    regroup,
+    stack,
 )
 
 
@@ -220,7 +223,8 @@ class OperatorSpan:
         is not *-closed they span the Hermitian part of the span plus its
         adjoint.
         """
-        return hermitian_span_basis(self.basis, rtol=self.rtol)
+        herm, rank = hermitian_span_basis(self.basis, rtol=self.rtol)
+        return herm[:rank]
 
     def validate(self, rtol: float | None = None) -> dict[str, float]:
         """Residuals of the span invariants, for tests and diagnostics."""
@@ -395,10 +399,11 @@ def commutant(rep_matrices, rtol: float | None = None) -> OperatorSpan:
     return OperatorSpan(basis, rtol=rtol)
 
 
-def minimal_projections(
-    commutative: OperatorSpan, cluster_tol: float | None = None
-) -> list[np.ndarray]:
-    """Ranges of the minimal projections of a commutative unital *-closed span.
+@batched
+def minimal_projections(commutatives: list, cluster_tol: float | None = None) -> list:
+    """Ranges of the minimal projections of each commutative unital
+    *-closed span in a list: one list of ranges per span, or the
+    :class:`DecompositionError` (or an error carried in) in its place.
 
     Joint refinement (Maehara and Murota, SIAM J. Matrix Anal. Appl. 32,
     2011): from the identity, each Hermitian basis element in turn is
@@ -409,41 +414,48 @@ def minimal_projections(
     (D x rank), the projection being ``V V^dag``. Two minimal projections
     differ by at least sqrt(2)/D in some basis coordinate, so for D up to
     about 1e4 the basis separates them at the default ``cluster_tol``.
+    Every step takes one stacked Hermitian basis cut per span shape and one
+    stacked ``eigh`` per range width, across all spans still being split.
     """
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
-    want = commutative.dim
-    ranges = [np.eye(commutative.ambient_dim, dtype=complex)]
-    if want == 1:
-        return ranges
-    gap = np.inf
-    for h in commutative.hermitian_basis():
-        if len(ranges) >= want:
+    out = [Z if isinstance(Z, Exception) else [np.eye(Z.ambient_dim, dtype=complex)]
+           for Z in commutatives]
+    herm = {}
+    for (n, D, rtol), pos in regroup(
+            [None if isinstance(Z, Exception) or Z.dim == 1 else (Z.dim, Z.ambient_dim, Z.rtol)
+             for Z in commutatives]):
+        h, rank = hermitian_span_basis(stack([commutatives[i].basis for i in pos]), rtol)
+        herm.update((i, h[j, : rank[j]]) for j, i in enumerate(pos))
+    gap = dict.fromkeys(herm, np.inf)
+    for step in range(max((len(h) for h in herm.values()), default=0)):
+        pairs = [(i, V) for i, h in herm.items()
+                 if step < len(h) and len(out[i]) < commutatives[i].dim for V in out[i]]
+        if not pairs:
             break
-        refined = []
-        for V in ranges:
+        split = [None] * len(pairs)
+        for _, pos in regroup([V.shape for _, V in pairs]):
+            V = stack([pairs[p][1] for p in pos])
+            h = stack([herm[pairs[p][0]][step] for p in pos])
             vals, vecs = np.linalg.eigh(dagger(V) @ h @ V)
-            steps = np.diff(vals)
-            gap = min(gap, steps[steps > cluster_tol].min(initial=np.inf))
-            refined += [V @ vecs[:, cl] for cl in eig_clusters(vals, cluster_tol)]
-        ranges = refined
-    if len(ranges) != want:
-        raise DecompositionError(
-            f"joint refinement found {len(ranges)} of {want} minimal projections "
-            f"(smallest separating gap {gap:.3e}, cluster_tol {cluster_tol:.1e})"
-        )
-    return ranges
+            clusters, gaps = eig_clusters(vals, cluster_tol)
+            for j, p in enumerate(pos):
+                i = pairs[p][0]
+                gap[i] = min(gap[i], gaps[j])
+                split[p] = [V[j] @ vecs[j][:, cl] for cl in clusters[j]]
+        for i in {i for i, _ in pairs}:
+            out[i] = []
+        for (i, _), ranges in zip(pairs, split):
+            out[i] += ranges
+    for i in herm:
+        if len(out[i]) != commutatives[i].dim:
+            out[i] = DecompositionError(
+                f"joint refinement found {len(out[i])} of {commutatives[i].dim} minimal "
+                f"projections (smallest separating gap {gap[i]:.3e}, cluster_tol {cluster_tol:.1e})"
+            )
+    return out
 
 
-def read_blocks(
-    algebra: OperatorSpan, Z: OperatorSpan, cluster_tol: float, what: str
-) -> list[tuple[int, int, np.ndarray]]:
-    """``(root, rank / root, V)`` for each range V of the minimal projections
-    of the center ``Z`` of the unital *-closed span ``algebra``: root^2 =
-    dim zA (``z = V V^dag``) is read off a trace and must be a perfect
-    square, and rank = ``V.shape[1]`` a multiple of root. That is (block
-    rank, multiplicity) on a block algebra and (multiplicity, irrep
-    dimension) on a commutant; ``what`` names the reading in errors."""
-    ranges = minimal_projections(Z, cluster_tol=cluster_tol)
+def _block_table(algebra: OperatorSpan, ranges: list, what: str) -> list:
     table = []
     for V, reading in zip(ranges, algebra.corner_dims(ranges)):
         root, rank = check_square(reading, f"{what} dimension"), V.shape[1]
@@ -451,6 +463,19 @@ def read_blocks(
         V.setflags(write=False)
         table.append((root, quotient, V))
     return table
+
+
+def read_blocks(algebras: list, centers: list, cluster_tol: float, what: str) -> list:
+    """The block table of each unital *-closed span in ``algebras`` from its
+    center in ``centers``: ``(root, rank / root, V)`` for each range V of the
+    minimal projections of the center. root^2 = dim zA (``z = V V^dag``) is
+    read off a trace and must be a perfect square, and rank = ``V.shape[1]``
+    a multiple of root. That is (block rank, multiplicity) on a block algebra
+    and (multiplicity, irrep dimension) on a commutant; ``what`` names the
+    reading in errors. A table that fails is replaced by its error, and a
+    center that is an error is passed on."""
+    return [ranges if isinstance(ranges, Exception) else attempt(_block_table, A, ranges, what)
+            for A, ranges in zip(algebras, minimal_projections(centers, cluster_tol=cluster_tol))]
 
 
 def wedderburn(
@@ -485,7 +510,7 @@ def wedderburn(
             f"wedderburn requires a *-closed span (adjoint residual {adj_resid:.3e})"
         )
     Z = center(span, rtol=rtol)
-    blocks = read_blocks(span, Z, cluster_tol, "block")
+    (blocks,) = raise_first(read_blocks([span], [Z], cluster_tol, "block"))
     blocks.sort(key=lambda b: (-b[0], -b[1]))
     projections = np.array([V @ dagger(V) for *_, V in blocks])
     projections.setflags(write=False)

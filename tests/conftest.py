@@ -50,8 +50,10 @@ NON_CENTRAL_SPLITS = {
 @pytest.fixture
 def non_central_projections(monkeypatch):
     """Both routes take NON_CENTRAL_SPLITS in place of their minimal projections."""
-    def fake(commutative, cluster_tol=None):
-        eye = np.eye(commutative.ambient_dim, dtype=complex)
-        return [eye[:, cols] for cols in NON_CENTRAL_SPLITS[commutative.ambient_dim]]
+    def fake(commutatives, cluster_tol=None):
+        eyes = [Z if isinstance(Z, Exception) else np.eye(Z.ambient_dim, dtype=complex)
+                for Z in commutatives]
+        return [eye if isinstance(eye, Exception) else
+                [eye[:, cols] for cols in NON_CENTRAL_SPLITS[len(eye)]] for eye in eyes]
 
     monkeypatch.setattr(star_algebra, "minimal_projections", fake)

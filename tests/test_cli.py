@@ -15,8 +15,10 @@ from gnsentropy.cli import (
     parse_matrix,
     parse_vector,
     plane_to_angles,
+    sweep_scenario,
 )
-from gnsentropy.entropy import LN2
+from gnsentropy.entropy import LN2, restriction_entropies
+from gnsentropy.fock import example_generators
 
 
 def write_spec(tmp_path, name, spec):
@@ -380,6 +382,25 @@ def test_sweeps_match_the_committed_goldens(tmp_path, capsys, preset):
                 assert abs(float(row[col]) - float(golden_row[col])) <= 1e-14, (method, row)
 
 
+def assert_calls_retain_no_memory(call):
+    """20 calls after 20 warm-up calls keep under 1.5 KB a call in all."""
+    for _ in range(10):
+        call()
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            call()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            call()
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 20 * 1500
+
+
 def test_grid_calls_retain_no_memory():
     """Per-span caches die with their span: repeated grid calls keep nothing.
 
@@ -388,21 +409,49 @@ def test_grid_calls_retain_no_memory():
     data alone), while allocator free lists hold under 20 KB in all over
     the 20 measured calls.
     """
-    for _ in range(10):
-        grid_rows(resolution=3)
-    tracemalloc.start()
-    try:
-        for _ in range(10):
-            grid_rows(resolution=3)
-        gc.collect()
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(20):
-            grid_rows(resolution=3)
-        gc.collect()
-        growth = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert growth < 20 * 1500
+    assert_calls_retain_no_memory(lambda: grid_rows(resolution=3))
+
+
+def test_sweep_calls_retain_no_memory():
+    spec = {"algebra": {"preset": "ex4_left"}, "state": {"parameters": {}}}
+    assert_calls_retain_no_memory(lambda: sweep_scenario(spec, "theta", 0.0, 1.5, 9))
+
+
+def test_batched_calls_on_a_reused_span_retain_no_memory():
+    """The stacks of a batch die with its reports: the span's caches are
+    built by the warm-up calls, and later batches on the span keep nothing."""
+    span, family = example_generators("ex5_bosons")
+    states = [family.state(theta=t, phi=0.3 * t) for t in np.linspace(0.0, np.pi, 9)]
+    assert_calls_retain_no_memory(lambda: restriction_entropies(span, states))
+
+
+def test_a_lapack_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which would otherwise exit 2
+    def no_convergence(*args, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    spec = write_spec(tmp_path, "s.json", {"algebra": {"preset": "ex5_bosons"},
+                                           "state": {"parameters": {}}})
+    code, _, err = run_cli(capsys, "run", spec)
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure: SVD did not converge" in err
+
+
+def test_grid_far_out_points_are_the_projection_point(capsys):
+    assert plane_to_angles(1e200, -1e200) == (0.0, -np.pi / 4)
+    assert plane_to_angles(0.0, 1e160)[0] == 0.0
+    code, out, _ = run_cli(capsys, "grid", "--resolution", "3", "--extent", "1e200")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 9 and all(float(row[2]) < 1e-9 for row in rows)
+
+
+@pytest.mark.parametrize("extent", ["inf", "-inf", "nan"])
+def test_grid_rejects_a_non_finite_extent(capsys, extent):
+    code, _, err = run_cli(capsys, "grid", "--resolution", "3", f"--extent={extent}")
+    assert code == EXIT_VALIDATION
+    assert "extent must be finite" in err
 
 
 # ---------------------------------------------------------------------------

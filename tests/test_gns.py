@@ -400,7 +400,7 @@ def test_purity_iff_trivial_commutant(presets):
 def assert_commutant_matches_oracle(space):
     # the GNS triple fixes the commutant: no span, state or ambient basis
     triple = dataclasses.replace(space, span=None, state=None, cyclic_basis=None)
-    got = _quotient_commutant(triple, space.rtol)
+    (got,) = _quotient_commutant([triple], space.rtol)
     want = commutant(list(space.rep_matrices))
     assert got.dim == want.dim
     gap = np.linalg.norm(bf.span_projector(got.basis) - bf.span_projector(want.basis), 2)
@@ -439,7 +439,7 @@ def test_quotient_commutant_of_faithful_state_is_right_regular(D):
     space = build_gns(full_matrix_algebra(D), AlgebraState(density=rho, normalize=True))
     assert space.null_dim == 0
     assert_commutant_matches_oracle(space)
-    assert _quotient_commutant(space, space.rtol).dim == D * D
+    assert _quotient_commutant([space], space.rtol)[0].dim == D * D
 
 
 @pytest.mark.parametrize("k, m, rng_seed", [(3, 3, 103), (4, 6, 101), (2, 5, 620), (4, 2, 621)])
@@ -482,8 +482,8 @@ def test_isotypic_weights_do_not_depend_on_the_quotient_basis_order(presets):
 
 
 def assert_gns_center_matches_oracle(space):
-    C = _quotient_commutant(space, space.rtol)
-    got = _commutant_center(space, C, space.rtol)
+    (C,) = _quotient_commutant([space], space.rtol)
+    (got,) = _commutant_center([space], [C], space.rtol)
     want = center(C)  # C comes from a bare basis: commutators with all of it
     assert got.dim == want.dim
     # for orthonormal bases of equal dimension the projector gap is the
@@ -505,8 +505,8 @@ def test_gns_center_of_faithful_full_matrix_algebra_is_scalars(D):
     X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     space = build_gns(full_matrix_algebra(D), AlgebraState(density=X @ X.conj().T, normalize=True))
     assert_gns_center_matches_oracle(space)
-    C = _quotient_commutant(space, space.rtol)
-    assert _commutant_center(space, C, space.rtol).dim == 1
+    (C,) = _quotient_commutant([space], space.rtol)
+    assert _commutant_center([space], [C], space.rtol)[0].dim == 1
 
 
 @pytest.mark.parametrize("rank", [1, 2, "full"])
@@ -577,8 +577,8 @@ def test_multiplicities_above_one_give_their_schmidt_weights():
 def assert_corner_traces_match_oracle(space):
     """Each commutant corner dimension read off a trace rounds to the rank
     of the corner P C P cut by SVD and sits within 1e-12 of it."""
-    C = _quotient_commutant(space, space.rtol)
-    ranges = minimal_projections(_commutant_center(space, C, space.rtol))
+    (C,) = _quotient_commutant([space], space.rtol)
+    (ranges,) = minimal_projections(_commutant_center([space], [C], space.rtol))
     got = C.corner_dims(ranges)
     want = np.array([bf.corner_dim(V @ V.conj().T, C.basis) for V in ranges])
     assert np.array_equal(np.round(got), want)
@@ -635,7 +635,7 @@ def test_non_central_projections_fail_the_multiplicity_reading(non_central_proje
 
 def test_a_non_finite_component_trace_is_a_decomposition_error(monkeypatch):
     monkeypatch.setattr(star_algebra, "minimal_projections",
-                        lambda Z, cluster_tol=None: [np.full((4, 4), np.nan)])
+                        lambda Zs, cluster_tol=None: [[np.full((4, 4), np.nan)] for _ in Zs])
     space = build_gns(full_matrix_algebra(2), AlgebraState(density=np.diag([0.7, 0.3])))
     with pytest.raises(DecompositionError,
                        match="commutant corner dimension = nan is not a positive integer"):

@@ -577,11 +577,11 @@ def test_failed_wedderburn_is_not_cached(monkeypatch):
 def test_minimal_projection_of_scalars_is_the_identity(monkeypatch):
     span = span_closure([], include_unit=True, ambient_dim=4)
 
-    def no_basis(self):
+    def no_basis(*args, **kw):
         raise AssertionError("a dim-1 span needs no Hermitian basis")
 
-    monkeypatch.setattr(OperatorSpan, "hermitian_basis", no_basis)
-    (V,) = minimal_projections(span)
+    monkeypatch.setattr(star_algebra, "hermitian_span_basis", no_basis)
+    ((V,),) = minimal_projections([span])
     assert np.array_equal(V, np.eye(4))
 
 
@@ -589,7 +589,7 @@ def test_minimal_projections_of_a_diagonal_algebra_are_its_blocks():
     diag = np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]).astype(complex)
     span = span_closure([diag], include_unit=True)
     assert span.dim == 3
-    ranges = minimal_projections(span)
+    (ranges,) = minimal_projections([span])
     assert sorted(V.shape[1] for V in ranges) == [1, 2, 3]
     projs = [V @ V.conj().T for V in ranges]
     for V, P in zip(ranges, projs):
