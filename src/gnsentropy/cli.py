@@ -101,6 +101,14 @@ def load_scenario(path) -> dict:
     return spec
 
 
+def _tolerance(value) -> float:
+    """A relative tolerance, which must be finite and non-negative."""
+    tol = float(value)
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
+
+
 def build_scenario(spec: dict):
     """Resolve a scenario dict into (span, state, meta)."""
     algebra = spec.get("algebra")
@@ -118,7 +126,7 @@ def build_scenario(spec: dict):
         raise ValueError("state must have exactly one of 'vector', 'density', 'parameters'")
     rtol = spec.get("tolerance")
     if rtol is not None:
-        rtol = float(rtol)
+        rtol = _tolerance(rtol)
 
     if has_preset:
         name = algebra["preset"]
@@ -271,6 +279,8 @@ def grid_rows(resolution: int, extent: float = 2.0, method: str = "both",
         raise ValueError("resolution must be at least 2")
     if not np.isfinite(extent):
         raise ValueError(f"extent must be finite, got {extent!r}")
+    if rtol is not None:
+        rtol = _tolerance(rtol)
     span, family = example_generators("ex5_bosons")
     axis = np.linspace(-extent, extent, resolution)
     points = [(float(x), float(y)) for x in axis for y in axis]

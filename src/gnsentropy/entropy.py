@@ -12,8 +12,9 @@ Two routes lead to the spectrum of a state restricted to a subalgebra:
 and, when both, enforces that the two spectra of each state agree as
 multisets. Each stage runs stacked over the states of one shape (the block
 route's solve takes one right-hand side per state), in chunks of at most
-``STACK_BUDGET`` numbers; ``restriction_entropy`` and ``density_element``
-are batches of one.
+``STACK_BUDGET`` numbers, and raises on its first failed check; a chunk
+that fails is solved again one state at a time. ``restriction_entropy``
+and ``density_element`` are batches of one.
 
 The block trace is the right normalization: with ambient multiplicities
 m > 1 the naive ambient trace would inflate every block eigenvalue by m
@@ -26,8 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecompositionError, OracleMismatchError, StateError, attempt, raise_first
-from .gns import AlgebraState, GnsSpace, IsotypicDecomposition, _build_gns, _isotypic, gns_density
+from .errors import AlgebraError, DecompositionError, OracleMismatchError, StateError
+from .gns import (
+    AlgebraState,
+    GnsSpace,
+    IsotypicDecomposition,
+    _build_gns,
+    _isotypic,
+    _matrix_stack,
+    gns_density,
+)
 from .linalg import (
     CLUSTER_TOL,
     DEFAULT_RTOL,
@@ -35,7 +44,6 @@ from .linalg import (
     PSD_TOL,
     RESULT_TOL,
     STACK_BUDGET,
-    batched,
     chunks,
     dagger,
     hermitize,
@@ -71,7 +79,8 @@ def von_neumann_entropy(spectrum, base: str | None = None) -> float:
     """Entropy ``-sum(w log w)`` with the ``0 log 0 = 0`` convention.
 
     Accepts a :class:`SpectralState` (whose ``log_base`` applies unless
-    ``base`` overrides it) or any array of nonnegative weights.
+    ``base`` overrides it) or any array of finite nonnegative weights.
+    ``base`` is ``"e"`` or ``"2"``; anything else raises ``ValueError``.
     """
     if isinstance(spectrum, SpectralState):
         w = spectrum.weights
@@ -80,6 +89,10 @@ def von_neumann_entropy(spectrum, base: str | None = None) -> float:
         w = np.asarray(spectrum, dtype=float)
         base = "e" if base is None else base
     base = str(base)
+    if base not in ("e", "2"):
+        raise ValueError(f"base must be 'e' or '2', got {base!r}")
+    if not np.isfinite(w).all():
+        raise ValueError("entropy weights must be finite")
     w = w[w > 0.0]
     s = float(-(w * np.log(w)).sum()) if w.size else 0.0
     if s <= 0.0:
@@ -174,54 +187,49 @@ def density_element(
     This is the batch of one of the stacked solve that
     :func:`restriction_entropies` runs over many states.
     """
-    return raise_first(_density_elements(span, blocks, [state]))[0]
+    return _density_elements(span, blocks, [state])[0]
 
 
-@batched
 def _density_elements(span: OperatorSpan, blocks: WedderburnData, states: list) -> list:
     """:func:`density_element` for a list of states: one solve with a
     right-hand side per state, the density elements and their Hermiticity
-    check stacked, and one stacked ``eigvalsh`` per block. A state that
-    fails gets its error in place of its density element."""
+    check stacked, and one stacked ``eigvalsh`` per block."""
     B, n, D = span.basis, span.dim, span.ambient_dim
     T = _block_trace_system(span, blocks)
-    out = [st if isinstance(st, Exception) else attempt(st.values, B) for st in states]
-    pos = [i for i, y in enumerate(out) if not isinstance(y, Exception)]
-    if not pos:
-        return out
+    Y = stack([st.values(_matrix_stack(span, st)) for st in states])
     try:
-        coeffs = np.linalg.solve(T, stack([out[i] for i in pos]).T).T
+        coeffs = np.linalg.solve(T, Y.T).T
     except np.linalg.LinAlgError:
-        error = DecompositionError(
+        raise DecompositionError(
             "block-trace moment system is singular; Wedderburn data does not "
             "match the span"
-        )
-        return [y if isinstance(y, Exception) else error for y in out]
+        ) from None
     D_mat = (coeffs[:, None] @ B.reshape(n, D * D)).reshape(-1, D, D)
     scale = np.maximum(np.linalg.norm(D_mat, axis=(1, 2)), 1.0)
-    errors = [None if defect <= RESULT_TOL * sc else StateError(
-        "density element came out non-Hermitian; state is not real-valued on the span")
-        for defect, sc in zip(np.linalg.norm(D_mat - dagger(D_mat), axis=(1, 2)), scale)]
+    # in this form a NaN defect fails
+    if not (np.linalg.norm(D_mat - dagger(D_mat), axis=(1, 2)) <= RESULT_TOL * scale).all():
+        raise StateError(
+            "density element came out non-Hermitian; state is not real-valued on the span")
     D_mat, spectra = hermitize(D_mat), []
     for V, n_k, m_k in zip(blocks.ranges, blocks.block_ranks, blocks.multiplicities):
         vals = np.linalg.eigvalsh(hermitize(dagger(V) @ D_mat @ V))
         groups = vals.reshape(-1, n_k, m_k)
         spread = (groups.max(axis=2) - groups.min(axis=2)).max(axis=1)
         block_vals = groups.mean(axis=2)
-        for j in np.flatnonzero(spread > RESULT_TOL * np.maximum(1.0, np.abs(vals).max(axis=1))):
-            errors[j] = errors[j] or DecompositionError(
+        bad = spread > RESULT_TOL * np.maximum(1.0, np.abs(vals).max(axis=1))
+        if bad.any():
+            raise DecompositionError(
                 f"block eigenvalues do not come in multiplicity-{m_k} groups "
-                f"(spread {spread[j]:.3e})"
+                f"(spread {spread[bad.argmax()]:.3e})"
             )
-        for j in np.flatnonzero(block_vals.min(axis=1) < -PSD_TOL):
-            errors[j] = errors[j] or StateError(
-                f"restricted state has negative block eigenvalue {block_vals[j].min()!r}"
+        bad = block_vals.min(axis=1) < -PSD_TOL
+        if bad.any():
+            raise StateError(
+                f"restricted state has negative block eigenvalue {block_vals[bad.argmax()].min()!r}"
             )
         spectra.append(np.clip(block_vals, 0.0, None))
-    for j, i in enumerate(pos):
-        out[i] = errors[j] or DensityElement(
-            matrix=D_mat[j], block_spectra=tuple(spec[j] for spec in spectra), blocks=blocks)
-    return out
+    return [DensityElement(matrix=D_mat[j], block_spectra=tuple(spec[j] for spec in spectra),
+                           blocks=blocks) for j in range(len(states))]
 
 
 @dataclass(frozen=True)
@@ -314,41 +322,43 @@ def restriction_entropies(
     Inside a chunk every per-state stage runs stacked over the states that
     share a shape: factor width, then GNS dimension and each later rank.
     A state's report does not depend on which other states share its batch.
-    A state that fails is dropped from its chunk, and once the chunk is done
-    the error of its first failing state in input order is raised, as a
-    loop of :func:`restriction_entropy` would raise it.
+    A chunk that fails, a stacked LAPACK call included, is solved again one
+    state at a time, so the error raised is that of its first failing state
+    in input order, as a loop of :func:`restriction_entropy` would raise it.
+
+    Every report keeps its state's GNS space, isotypic decomposition and
+    density element, about 20 KB per ``ex5_bosons`` state, so a call holds
+    all of its batch's at once. A caller with a large batch should go
+    chunk by chunk with :func:`state_chunks`, as ``grid`` and ``sweep`` do.
     """
     if method not in ("gns", "wedderburn", "both"):
         raise ValueError(f"unknown method {method!r}")
     rtol = span.rtol if rtol is None else rtol
     states, reports = list(states), []
     for c in state_chunks(span, len(states)):
-        reports += raise_first(_solve(span, states[c], method, seed, rtol, oracle_tol, blocks))
+        try:
+            reports += _solve(span, states[c], method, seed, rtol, oracle_tol, blocks)
+        except (ValueError, AlgebraError):
+            if len(states[c]) == 1:
+                raise
+            for state in states[c]:
+                reports += _solve(span, [state], method, seed, rtol, oracle_tol, blocks)
     return tuple(reports)
 
 
 def _solve(span, states, method, seed, rtol, oracle_tol, blocks) -> list:
-    """The reports of one chunk of states, an error in place of each that fails."""
+    """The reports of one chunk of states; the first failed check raises."""
     spaces = isos = spectra_gns = dens = [None] * len(states)
-    results = states
     if method in ("gns", "both"):
         spaces = _build_gns(span, states, rtol)
         isos = _isotypic(spaces, seed, rtol, CLUSTER_TOL)
-        spectra_gns = results = [
-            iso if isinstance(iso, Exception) else attempt(lambda: gns_density(iso).weights)
-            for iso in isos
-        ]
+        spectra_gns = [gns_density(iso).weights for iso in isos]
     if method in ("wedderburn", "both"):
         if blocks is None:
-            blocks = attempt(wedderburn, span, seed=seed, rtol=rtol)
-        failed = blocks if isinstance(blocks, Exception) else None
-        live = [r if isinstance(r, Exception) else failed or st for r, st in zip(results, states)]
-        dens = results = _density_elements(span, blocks, live) if failed is None else live
-    return [
-        result if isinstance(result, Exception) else attempt(
-            _report, method, seed, oracle_tol, spaces[i], isos[i], spectra_gns[i], dens[i])
-        for i, result in enumerate(results)
-    ]
+            blocks = wedderburn(span, seed=seed, rtol=rtol)
+        dens = _density_elements(span, blocks, states)
+    return [_report(method, seed, oracle_tol, *item)
+            for item in zip(spaces, isos, spectra_gns, dens)]
 
 
 def _report(method, seed, oracle_tol, gns_space, iso, spectrum_gns, dens) -> RestrictionReport:

@@ -3,8 +3,9 @@
 ``ValueError`` (and :class:`StateError`) mean the caller handed us something
 malformed; :class:`AlgebraError` subclasses mean a numerical structure check
 failed mid-computation. The CLI maps the two families to distinct exit codes.
-Batched stages carry each failed item's error in its result slot and raise
-the first in input order once the batch is done.
+Batched stages raise on their first failed check; a batch of states that
+fails is solved again one state at a time, so the error raised is that of
+its first failing state in input order.
 """
 
 
@@ -27,19 +28,3 @@ class OracleMismatchError(AlgebraError):
 class StateError(ValueError):
     """Input does not define a valid normalized positive state."""
 
-
-def attempt(fn, *args, **kw):
-    """``fn(*args, **kw)``, or the ``ValueError`` or :class:`AlgebraError` it
-    raised: a batch carries a failed item's error in place of its result."""
-    try:
-        return fn(*args, **kw)
-    except (ValueError, AlgebraError) as exc:
-        return exc
-
-
-def raise_first(results: list) -> list:
-    """``results``, unless one of them is an error: then the first is raised."""
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-    return results

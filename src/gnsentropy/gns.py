@@ -34,8 +34,8 @@ onto the commutant and compressed to the component, with no random draws.
 
 Every stage takes a list of states or spaces and runs stacked: one SVD,
 eigensolve or matrix product per group of items of one shape. A rank cut
-counts per item and regroups the stack by that count, and an item that
-fails carries its error on in place of its result. :func:`build_gns` and
+counts per item and regroups the stack by that count, and a stage raises
+on the first check that fails. :func:`build_gns` and
 :func:`isotypic_decompose` are batches of one. The representation's
 products are streamed in chunks of the span's basis, so no intermediate
 holds more than the n*D^2 + n^3 numbers of the streamed structure
@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosureError, DecompositionError, StateError, attempt, raise_first
+from .errors import ClosureError, DecompositionError, StateError
 from .linalg import (
     CLOSURE_SLACK,
     CLUSTER_TOL,
@@ -58,7 +58,6 @@ from .linalg import (
     NULL_FLOOR,
     PSD_TOL,
     RESULT_TOL,
-    batched,
     chunks,
     dagger,
     eigh_null_split,
@@ -174,7 +173,7 @@ def gram_matrix(algebra, state: AlgebraState, validate: bool = True) -> np.ndarr
     """Gram matrix of a span's basis (or of an explicit matrix list) under a state."""
     G = state.gram(_matrix_stack(algebra, state))
     if validate and G.size:
-        raise_first(_psd_errors(G[None]))
+        _check_psd(G[None])
     return G
 
 
@@ -190,12 +189,12 @@ def _matrix_stack(algebra, state: AlgebraState) -> np.ndarray:
     return mats
 
 
-def _psd_errors(G: np.ndarray) -> list:
-    """For a stack of Gram matrices, a StateError for each whose eigenvalues
-    dip below roundoff, else None."""
-    return [StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
-            if float(vals[0]) < -PSD_TOL * max(float(vals[-1]), 1.0) else None
-            for vals in np.linalg.eigvalsh(hermitize(G))]
+def _check_psd(G: np.ndarray) -> None:
+    """StateError for the first of a stack of Gram matrices whose eigenvalues
+    dip below roundoff."""
+    for vals in np.linalg.eigvalsh(hermitize(G)):
+        if float(vals[0]) < -PSD_TOL * max(float(vals[-1]), 1.0):
+            raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -259,51 +258,40 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     :func:`gnsentropy.entropy.restriction_entropies` runs over many states.
     """
     rtol = span.rtol if rtol is None else rtol
-    return raise_first(_build_gns(span, [state], rtol))[0]
+    return _build_gns(span, [state], rtol)[0]
 
 
-def _state_factor(span: OperatorSpan, state: AlgebraState) -> np.ndarray:
-    _matrix_stack(span, state)
-    return state.factor
-
-
-def _closure_error(span: OperatorSpan, rtol: float) -> ClosureError | None:
+def _check_closure(span: OperatorSpan, rtol: float) -> None:
     resid, cut = span.closure_residual(), CLOSURE_SLACK * rtol
     if resid <= cut:
-        return None
+        return
     factors = (f"its {len(span.generators)} generators" if span.generators is not None
                else f"its {span.dim} basis elements")
-    return ClosureError(
+    raise ClosureError(
         f"span is not multiplicatively closed: the products of its basis with "
         f"{factors} leave residual {resid:.3e} above the cut {cut:.3e} "
         "(CLOSURE_SLACK * rtol); GNS needs an algebra"
     )
 
 
-@batched
 def _build_gns(span: OperatorSpan, states: list, rtol: float) -> list:
-    """:func:`build_gns` for a list of states on one span: a GnsSpace per
-    state, or the error the state failed with. States are stacked by the
-    width k of their factor for the Gram check and the SVD split, and then
-    by GNS dimension r for the representation."""
+    """:func:`build_gns` for a list of states on one span, a GnsSpace per
+    state. States are stacked by the width k of their factor for the Gram
+    check and the SVD split, and then by GNS dimension r for the
+    representation."""
     if not span.has_unit:
         raise ValueError("GNS construction requires a unital span")
     B, n, D = span.basis, span.dim, span.ambient_dim
-    out = [st if isinstance(st, Exception) else attempt(_state_factor, span, st) for st in states]
-    for k, pos in regroup([None if isinstance(L, Exception) else L.shape[1] for L in out]):
+    for st in states:
+        _matrix_stack(span, st)
+    out = [st.factor for st in states]
+    for k, pos in regroup([L.shape[1] for L in out]):
         L = stack([out[i] for i in pos])
         V = (B @ L[:, None]).reshape(len(pos), n, D * k)
         G = V.conj() @ V.swapaxes(1, 2)
-        errors = _psd_errors(G)
-        for i, err in zip(pos, errors):
-            out[i] = err or out[i]
-        ok = np.array([err is None for err in errors])
-        pos, L, V, G = pos[ok], L[ok], V[ok], G[ok]
+        _check_psd(G)
         u, s, vh = right_singular(V.swapaxes(1, 2), left=True)
-        if pos.size and (err := _closure_error(span, rtol)):
-            for i in pos:
-                out[i] = err
-            continue
+        _check_closure(span, rtol)
         n_keep = np.count_nonzero(s**2 > np.maximum(rtol * s[:, :1] ** 2, NULL_FLOOR), axis=1)
         for r, sub in regroup(n_keep):
             m = len(sub)
@@ -367,7 +355,6 @@ class IsotypicDecomposition:
         return np.concatenate([c.refined_weights for c in self.components])
 
 
-@batched
 def _quotient_commutant(spaces: list, rtol: float) -> list:
     """Commutant of each GNS representation in a list, from the GNS triple alone.
 
@@ -381,12 +368,10 @@ def _quotient_commutant(spaces: list, rtol: float) -> list:
     quotient basis (the columns of ``quotient_coords``) span the commutant.
     Only ``rep_matrices``, ``null_coords`` and ``quotient_coords`` are
     read: O(n r^3) work, with no products in the ambient space. Spaces of one
-    shape share each SVD; an error in place of a space is passed on.
+    shape share each SVD.
     """
     out = list(spaces)
-    for (n, n_null, r), pos in regroup(
-            [None if isinstance(sp, Exception) else sp.null_coords.shape + (sp.gns_dim,)
-             for sp in spaces]):
+    for (n, n_null, r), pos in regroup([sp.null_coords.shape + (sp.gns_dim,) for sp in spaces]):
         rep = stack([spaces[i].rep_matrices for i in pos]).reshape(-1, n, r * r)
         null = stack([spaces[i].null_coords for i in pos])
         quot = stack([spaces[i].quotient_coords for i in pos])
@@ -405,7 +390,6 @@ def _quotient_commutant(spaces: list, rtol: float) -> list:
     return out
 
 
-@batched
 def _commutant_center(spaces: list, commutants: list, rtol: float) -> list:
     """Center of each commutant ``C``: its intersection with ``pi(A)``.
 
@@ -415,20 +399,16 @@ def _commutant_center(spaces: list, commutants: list, rtol: float) -> list:
     are the cosines of the principal angles: exactly 1 on the center and 0
     elsewhere, since the rest of ``C`` and of ``pi(A)`` are the traceless
     parts ``1 (x) X`` and ``Y (x) 1`` of each component, which are
-    orthogonal. The cut sits at 1/2. An error in place of a commutant is
-    passed on.
+    orthogonal. The cut sits at 1/2.
     """
     out = list(commutants)
-    live = [None if isinstance(C, Exception) else i for i, C in enumerate(commutants)]
     rep_bases = {}
-    for (n, r), pos in regroup([None if i is None else spaces[i].rep_matrices.shape[:2]
-                                for i in live]):
+    for (n, r), pos in regroup([sp.rep_matrices.shape[:2] for sp in spaces]):
         rep = stack([spaces[i].rep_matrices for i in pos]).reshape(-1, n, r * r)
         basis, rank = row_basis(rep, rtol)
         rep_bases.update((i, basis[j, : rank[j]]) for j, i in enumerate(pos))
-    for (r, c, a), pos in regroup(
-            [None if i is None else (spaces[i].gns_dim, commutants[i].dim, len(rep_bases[i]))
-             for i in live]):
+    for (r, c, a), pos in regroup([(sp.gns_dim, C.dim, len(rep_bases[i]))
+                                   for i, (sp, C) in enumerate(zip(spaces, commutants))]):
         Cb = stack([commutants[i].basis for i in pos]).reshape(-1, c, r * r)
         Ab = stack([rep_bases[i] for i in pos])
         u, cosines, _ = np.linalg.svd(Cb.conj() @ Ab.swapaxes(1, 2), full_matrices=False)
@@ -439,7 +419,6 @@ def _commutant_center(spaces: list, commutants: list, rtol: float) -> list:
     return out
 
 
-@batched
 def _components(spaces: list, commutants: list, tables: list, seed: int) -> list:
     """The isotypic decomposition of each space from its commutant's block table.
 
@@ -456,8 +435,7 @@ def _components(spaces: list, commutants: list, tables: list, seed: int) -> list
     group value is a weight. ``P`` is central in the commutant, so that is
     the projection onto the whole commutant, compressed to ``V``.
     """
-    pairs = [(i, m, n, V) for i, table in enumerate(tables)
-             if not isinstance(table, Exception) for m, n, V in table]
+    pairs = [(i, m, n, V) for i, table in enumerate(tables) for m, n, V in table]
     weight, proj, refined = {}, {}, {}
     for _, pos in regroup([V.shape for *_, V in pairs]):
         V = stack([pairs[p][3] for p in pos])
@@ -476,45 +454,36 @@ def _components(spaces: list, commutants: list, tables: list, seed: int) -> list
         groups = vals.reshape(-1, m, n)
         spread = (groups.max(axis=2) - groups.min(axis=2)).max(axis=1)
         scale = np.maximum(1.0, np.abs(vals).max(axis=1))
-        for j, (p, weights) in enumerate(zip(pos, np.clip(n * groups.mean(axis=2), 0.0, None))):
-            total, w_k = weights.sum(), weight[p]
-            if spread[j] > RESULT_TOL * scale[j]:
-                weights = DecompositionError(
-                    f"corner expectation eigenvalues do not come in {m} groups of "
-                    f"{n} (spread {spread[j]:.3e})"
-                )
-            elif abs(total - w_k) > RESULT_TOL * max(w_k, 1.0):
-                weights = DecompositionError(f"refined weights sum to {total!r}, expected {w_k!r}")
-            refined[p] = weights
-    components: dict = {}
+        refined.update(zip(pos, zip(np.clip(n * groups.mean(axis=2), 0.0, None), spread, scale)))
+    # checked in table order, so a space raises its first failing component
+    components = [[] for _ in tables]
     for p, (i, m, n, _) in enumerate(pairs):
-        weights = refined.get(p, np.array([weight[p]]))
-        components.setdefault(i, []).append(weights if isinstance(weights, Exception) else
-                                            IsotypicComponent(projection=proj[p], irrep_dim=n,
-                                                              multiplicity=m, weight=weight[p],
-                                                              refined_weights=weights))
-    out = list(tables)
-    for i, found in components.items():
-        out[i] = attempt(_decomposition, found, commutants[i].dim, seed)
+        weights, spread, scale = refined.get(p, (np.array([weight[p]]), 0.0, 1.0))
+        total, w_k = weights.sum(), weight[p]
+        if spread > RESULT_TOL * scale:
+            raise DecompositionError(
+                f"corner expectation eigenvalues do not come in {m} groups of "
+                f"{n} (spread {spread:.3e})"
+            )
+        if abs(total - w_k) > RESULT_TOL * max(w_k, 1.0):
+            raise DecompositionError(f"refined weights sum to {total!r}, expected {w_k!r}")
+        components[i].append(IsotypicComponent(projection=proj[p], irrep_dim=n, multiplicity=m,
+                                               weight=w_k, refined_weights=weights))
+    out = []
+    for found, C in zip(components, commutants):
+        found.sort(key=lambda c: (-c.irrep_dim, -c.multiplicity, -c.weight))
+        total = sum(c.weight for c in found)
+        if abs(total - 1.0) > RESULT_TOL:
+            raise DecompositionError(f"component weights sum to {total!r}, not 1")
+        out.append(IsotypicDecomposition(components=tuple(found), commutant_dim=C.dim, seed=seed))
     return out
 
 
-def _decomposition(components: list, commutant_dim: int, seed: int) -> IsotypicDecomposition:
-    components = sorted(raise_first(components),
-                        key=lambda c: (-c.irrep_dim, -c.multiplicity, -c.weight))
-    total = sum(c.weight for c in components)
-    if abs(total - 1.0) > RESULT_TOL:
-        raise DecompositionError(f"component weights sum to {total!r}, not 1")
-    return IsotypicDecomposition(components=tuple(components), commutant_dim=commutant_dim,
-                                 seed=seed)
-
-
 def _isotypic(spaces: list, seed: int, rtol: float, cluster_tol: float) -> list:
-    """:func:`isotypic_decompose` for a list of spaces: a decomposition per
-    space, or the error it failed with. Each stage runs stacked over the
-    spaces that are still going."""
-    spaces = [sp if isinstance(sp, Exception) or sp.gns_dim
-              else ValueError("GNS space is zero-dimensional") for sp in spaces]
+    """:func:`isotypic_decompose` for a list of spaces, a decomposition per
+    space. Each stage runs stacked over all of them."""
+    if not all(sp.gns_dim for sp in spaces):
+        raise ValueError("GNS space is zero-dimensional")
     commutants = _quotient_commutant(spaces, rtol)
     centers = _commutant_center(spaces, commutants, rtol)
     tables = read_blocks(commutants, centers, cluster_tol, "commutant corner")
@@ -547,7 +516,7 @@ def isotypic_decompose(
     """
     rtol = space.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
-    return raise_first(_isotypic([space], seed, rtol, cluster_tol))[0]
+    return _isotypic([space], seed, rtol, cluster_tol)[0]
 
 
 def gns_density(iso: IsotypicDecomposition, tol: float = DEFAULT_RTOL):

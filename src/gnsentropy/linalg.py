@@ -11,7 +11,6 @@ times the largest eigenvalue or singular value of the matrix being cut.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -211,25 +210,6 @@ def take(a: np.ndarray, sub: np.ndarray) -> np.ndarray:
     ``a`` itself when ``sub`` holds every item: the same values and layout,
     with no copy."""
     return a if len(sub) == len(a) else a[sub]
-
-
-def batched(stage):
-    """Decorate a stage that maps its positional ``list`` arguments, one
-    entry per item, to a list of results, an exception standing in for the
-    result of an item that failed. When a stacked LAPACK call raises
-    ``LinAlgError`` the stage is rerun on each item as a batch of one, so
-    the error lands on the items that raise it."""
-    @functools.wraps(stage)
-    def run(*args, **kw):
-        try:
-            return stage(*args, **kw)
-        except np.linalg.LinAlgError as exc:
-            size = next(len(a) for a in args if isinstance(a, list))
-            if size == 1:
-                return [exc]
-            return [run(*(a[i:i + 1] if isinstance(a, list) else a for a in args), **kw)[0]
-                    for i in range(size)]
-    return run
 
 
 def eig_clusters(vals: np.ndarray, tol: float) -> tuple[list[list[slice]], np.ndarray]:

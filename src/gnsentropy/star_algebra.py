@@ -21,13 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosureError, DecompositionError, attempt, raise_first
+from .errors import ClosureError, DecompositionError
 from .linalg import (
     CLOSURE_SLACK,
     CLUSTER_TOL,
     DEFAULT_RTOL,
     as_square,
-    batched,
     check_int,
     check_square,
     chunks,
@@ -399,11 +398,9 @@ def commutant(rep_matrices, rtol: float | None = None) -> OperatorSpan:
     return OperatorSpan(basis, rtol=rtol)
 
 
-@batched
 def minimal_projections(commutatives: list, cluster_tol: float | None = None) -> list:
     """Ranges of the minimal projections of each commutative unital
-    *-closed span in a list: one list of ranges per span, or the
-    :class:`DecompositionError` (or an error carried in) in its place.
+    *-closed span in a list: one list of ranges per span.
 
     Joint refinement (Maehara and Murota, SIAM J. Matrix Anal. Appl. 32,
     2011): from the identity, each Hermitian basis element in turn is
@@ -416,14 +413,14 @@ def minimal_projections(commutatives: list, cluster_tol: float | None = None) ->
     about 1e4 the basis separates them at the default ``cluster_tol``.
     Every step takes one stacked Hermitian basis cut per span shape and one
     stacked ``eigh`` per range width, across all spans still being split.
+    :class:`DecompositionError` is raised for the first span whose refinement
+    falls short.
     """
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
-    out = [Z if isinstance(Z, Exception) else [np.eye(Z.ambient_dim, dtype=complex)]
-           for Z in commutatives]
+    out = [[np.eye(Z.ambient_dim, dtype=complex)] for Z in commutatives]
     herm = {}
     for (n, D, rtol), pos in regroup(
-            [None if isinstance(Z, Exception) or Z.dim == 1 else (Z.dim, Z.ambient_dim, Z.rtol)
-             for Z in commutatives]):
+            [None if Z.dim == 1 else (Z.dim, Z.ambient_dim, Z.rtol) for Z in commutatives]):
         h, rank = hermitian_span_basis(stack([commutatives[i].basis for i in pos]), rtol)
         herm.update((i, h[j, : rank[j]]) for j, i in enumerate(pos))
     gap = dict.fromkeys(herm, np.inf)
@@ -446,23 +443,13 @@ def minimal_projections(commutatives: list, cluster_tol: float | None = None) ->
             out[i] = []
         for (i, _), ranges in zip(pairs, split):
             out[i] += ranges
-    for i in herm:
+    for i in sorted(herm):
         if len(out[i]) != commutatives[i].dim:
-            out[i] = DecompositionError(
+            raise DecompositionError(
                 f"joint refinement found {len(out[i])} of {commutatives[i].dim} minimal "
                 f"projections (smallest separating gap {gap[i]:.3e}, cluster_tol {cluster_tol:.1e})"
             )
     return out
-
-
-def _block_table(algebra: OperatorSpan, ranges: list, what: str) -> list:
-    table = []
-    for V, reading in zip(ranges, algebra.corner_dims(ranges)):
-        root, rank = check_square(reading, f"{what} dimension"), V.shape[1]
-        quotient = check_int(rank / root, f"rank {rank} / sqrt({what} dimension) {root}")
-        V.setflags(write=False)
-        table.append((root, quotient, V))
-    return table
 
 
 def read_blocks(algebras: list, centers: list, cluster_tol: float, what: str) -> list:
@@ -472,10 +459,16 @@ def read_blocks(algebras: list, centers: list, cluster_tol: float, what: str) ->
     read off a trace and must be a perfect square, and rank = ``V.shape[1]``
     a multiple of root. That is (block rank, multiplicity) on a block algebra
     and (multiplicity, irrep dimension) on a commutant; ``what`` names the
-    reading in errors. A table that fails is replaced by its error, and a
-    center that is an error is passed on."""
-    return [ranges if isinstance(ranges, Exception) else attempt(_block_table, A, ranges, what)
-            for A, ranges in zip(algebras, minimal_projections(centers, cluster_tol=cluster_tol))]
+    reading in errors, and the first table that fails raises."""
+    tables = []
+    for A, ranges in zip(algebras, minimal_projections(centers, cluster_tol=cluster_tol)):
+        tables.append([])
+        for V, reading in zip(ranges, A.corner_dims(ranges)):
+            root, rank = check_square(reading, f"{what} dimension"), V.shape[1]
+            quotient = check_int(rank / root, f"rank {rank} / sqrt({what} dimension) {root}")
+            V.setflags(write=False)
+            tables[-1].append((root, quotient, V))
+    return tables
 
 
 def wedderburn(
@@ -510,7 +503,7 @@ def wedderburn(
             f"wedderburn requires a *-closed span (adjoint residual {adj_resid:.3e})"
         )
     Z = center(span, rtol=rtol)
-    (blocks,) = raise_first(read_blocks([span], [Z], cluster_tol, "block"))
+    (blocks,) = read_blocks([span], [Z], cluster_tol, "block")
     blocks.sort(key=lambda b: (-b[0], -b[1]))
     projections = np.array([V @ dagger(V) for *_, V in blocks])
     projections.setflags(write=False)

@@ -51,9 +51,7 @@ NON_CENTRAL_SPLITS = {
 def non_central_projections(monkeypatch):
     """Both routes take NON_CENTRAL_SPLITS in place of their minimal projections."""
     def fake(commutatives, cluster_tol=None):
-        eyes = [Z if isinstance(Z, Exception) else np.eye(Z.ambient_dim, dtype=complex)
-                for Z in commutatives]
-        return [eye if isinstance(eye, Exception) else
-                [eye[:, cols] for cols in NON_CENTRAL_SPLITS[len(eye)]] for eye in eyes]
+        eyes = [np.eye(Z.ambient_dim, dtype=complex) for Z in commutatives]
+        return [[eye[:, cols] for cols in NON_CENTRAL_SPLITS[len(eye)]] for eye in eyes]
 
     monkeypatch.setattr(star_algebra, "minimal_projections", fake)

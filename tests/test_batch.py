@@ -9,9 +9,10 @@ from gnsentropy import (
     full_matrix_algebra,
     restriction_entropies,
     restriction_entropy,
+    span_closure,
 )
+from gnsentropy.entropy import state_chunks
 from gnsentropy.fock import example_generators
-from gnsentropy.gns import _build_gns
 
 from test_gns import FAMILY_GRIDS
 
@@ -130,6 +131,26 @@ def test_a_batch_raises_the_first_failing_state_of_the_loop(presets, method):
     assert isinstance(err, ValueError)
 
 
+@pytest.mark.parametrize("bad", [35, 0])
+@pytest.mark.parametrize("method", METHODS)
+def test_a_failing_state_in_either_of_two_chunks_raises_like_the_loop(presets, method, bad):
+    span, family = presets["ex5_bosons"]
+    states = [family.state(theta=0.1 + 0.03 * i, phi=0.05 * i) for i in range(40)]
+    assert [len(states[c]) for c in state_chunks(span, 40)] == [32, 8]
+    states[bad] = AlgebraState(vector=[1, 0, 0])
+    err = assert_raises_like_the_loop(span, states, method)
+    assert "algebra acts on dimension 6, state lives on 3" in str(err)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_non_unital_span_raises_like_the_loop(method):
+    span = span_closure([np.diag([1.0, 0.0, 0.0]).astype(complex)], include_unit=False)
+    assert not span.has_unit
+    states = [AlgebraState(vector=np.eye(3)[i]) for i in range(3)]
+    err = assert_raises_like_the_loop(span, states, method)
+    assert "unital span" in str(err)
+
+
 def test_a_later_stage_failure_of_an_earlier_state_wins(presets, non_central_projections):
     # under the fixture the faithful qubit state fails in its isotypic
     # decomposition, after the mis-sized state has failed in its GNS build
@@ -142,8 +163,8 @@ def test_a_later_stage_failure_of_an_earlier_state_wins(presets, non_central_pro
 
 
 def test_a_lapack_failure_lands_on_its_own_state(presets, monkeypatch):
-    """A stacked SVD that fails is rerun per state: only the state whose
-    own SVD fails carries the error, and the batch raises it."""
+    """A stacked SVD that fails sends its chunk back one state at a time:
+    the batch raises the error of the state whose own SVD fails."""
     span, family = presets["ex1_m2"]
     states = [family.state({"lambda": lam}) for lam in (0.5, 0.3, 0.9)]
     svd = np.linalg.svd
@@ -154,6 +175,21 @@ def test_a_lapack_failure_lands_on_its_own_state(presets, monkeypatch):
         return svd(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "svd", fails_on_lambda_03)
-    spaces = _build_gns(span, states, span.rtol)
-    assert [type(sp).__name__ for sp in spaces] == ["GnsSpace", "LinAlgError", "GnsSpace"]
     assert_raises_like_the_loop(span, states)
+
+
+def test_a_stacked_lapack_failure_is_raised_as_its_state_alone_raises_it(presets, monkeypatch):
+    """The chunk fallback, seen through an error that names its stack size:
+    the stacked call fails on 3 states, the loop on 1."""
+    span, family = presets["ex1_m2"]
+    states = [family.state({"lambda": lam}) for lam in (0.5, 0.3, 0.9)]
+    svd = np.linalg.svd
+
+    def fails_on_lambda_03(a, *args, **kw):
+        if np.isclose(np.abs(a), np.sqrt(0.3)).any():
+            raise np.linalg.LinAlgError(f"SVD did not converge on a stack of {len(a)}")
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_on_lambda_03)
+    err = assert_raises_like_the_loop(span, states)
+    assert str(err) == "SVD did not converge on a stack of 1"

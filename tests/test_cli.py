@@ -454,6 +454,38 @@ def test_grid_rejects_a_non_finite_extent(capsys, extent):
     assert "extent must be finite" in err
 
 
+def tolerance_argv(tmp_path, command):
+    spec = write_spec(tmp_path, "s.json", {"algebra": {"preset": "ex1_m2"},
+                                           "state": {"parameters": {}}})
+    return {"run": ["run", spec],
+            "sweep": ["sweep", spec, "--param", "lambda", "--from", "0", "--to", "1",
+                      "--steps", "3"],
+            "grid": ["grid", "--resolution", "3"]}[command]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["run", "sweep", "grid"])
+def test_a_bad_tolerance_exits_2(tmp_path, capsys, command, tol):
+    code, out, err = run_cli(capsys, *tolerance_argv(tmp_path, command), f"--tol={tol}")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "error: tolerance must be finite and non-negative" in err
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_a_bad_scenario_tolerance_exits_2(tmp_path, capsys, tol):
+    spec = write_spec(tmp_path, "s.json", {"algebra": {"preset": "ex2_bell"},
+                                           "state": {"parameters": {}}, "tolerance": tol})
+    code, _, err = run_cli(capsys, "run", spec)
+    assert code == EXIT_VALIDATION
+    assert f"tolerance must be finite and non-negative, got {tol!r}" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_zero_tolerance_is_accepted(tmp_path, capsys, command):
+    code, out, _ = run_cli(capsys, *tolerance_argv(tmp_path, command), "--tol", "0")
+    assert code == EXIT_OK and out
+
+
 # ---------------------------------------------------------------------------
 # examples
 

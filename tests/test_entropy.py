@@ -64,6 +64,20 @@ def test_spectral_state_validation():
         SpectralState(weights=np.array([0.5, 0.4]))
 
 
+@pytest.mark.parametrize("base", ["10", 10, "E", ""])
+def test_entropy_rejects_an_unknown_log_base(base):
+    with pytest.raises(ValueError, match="base must be 'e' or '2'"):
+        von_neumann_entropy([0.5, 0.5], base=base)
+    with pytest.raises(ValueError, match="base must be 'e' or '2'"):
+        von_neumann_entropy(SpectralState(weights=np.array([0.5, 0.5])), base=base)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_entropy_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="entropy weights must be finite"):
+        von_neumann_entropy([bad, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # partial trace
 
@@ -224,6 +238,17 @@ def test_boson_restriction_matches_closed_form(presets):
     assert abs(rep.entropy_nats - bf.entropy_of(bf.boson_weights(theta, phi))) < 1e-9
     assert rep.gns_dim == 6
     assert [(n, m) for n, m, _ in rep.blocks] == [(3, 1), (2, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("method", ["gns", "wedderburn", "both"])
+def test_a_mis_sized_state_is_named_on_both_routes(presets, preset_blocks, method):
+    span, _ = presets["ex5_bosons"]
+    state = AlgebraState(vector=[1, 0, 0])
+    message = "algebra acts on dimension 6, state lives on 3"
+    with pytest.raises(ValueError, match=message):
+        restriction_entropy(span, state, method=method)
+    with pytest.raises(ValueError, match=message):
+        density_element(span, preset_blocks["ex5_bosons"], state)
 
 
 def test_single_method_reports(presets):
