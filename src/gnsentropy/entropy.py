@@ -3,18 +3,18 @@
 Two routes lead to the spectrum of a state restricted to a subalgebra:
 
 * the GNS route (quotient space, isotypic decomposition, refined weights),
-* the block route: solve for the Hermitian density element ``Drho`` inside
-  the span satisfying ``Tr_W(Drho B_a) = omega(B_a)``, where ``Tr_W``
-  counts each irreducible block once with ambient multiplicities divided
-  out, and read the spectrum off the blocks.
+* the block route: the Hermitian density element ``Drho`` inside the span
+  with ``Tr_W(Drho B_a) = omega(B_a)``, where ``Tr_W`` counts each
+  irreducible block once with ambient multiplicities divided out, is the
+  Hilbert-Schmidt projection of the state onto the span times ``m_k`` on
+  block k; the spectrum is read off the blocks.
 
 ``restriction_entropies`` runs either or both for many states on one span
 and, when both, enforces that the two spectra of each state agree as
-multisets. Each stage runs stacked over the states of one shape (the block
-route's solve takes one right-hand side per state), in chunks of at most
-``STACK_BUDGET`` numbers, and raises on its first failed check; a chunk
-that fails is solved again one state at a time. ``restriction_entropy``
-and ``density_element`` are batches of one.
+multisets. Each stage runs stacked over the states of one shape, in
+chunks of at most ``STACK_BUDGET`` numbers, and raises on its first
+failed check; a chunk that fails is solved again one state at a time.
+``restriction_entropy`` and ``density_element`` are batches of one.
 
 The block trace is the right normalization: with ambient multiplicities
 m > 1 the naive ambient trace would inflate every block eigenvalue by m
@@ -148,63 +148,43 @@ class DensityElement:
         return np.sort(w[w > tol])[::-1]
 
 
-def _block_trace_system(span: OperatorSpan, blocks: WedderburnData) -> np.ndarray:
-    """The state-independent half of :func:`density_element`.
-
-    Returns the moment matrix ``T[a, c] = Tr_W(B_c B_a)``. Cached on the
-    span for the last ``blocks`` it was built for, so a sweep over states on
-    one span builds it once; the block ranges are ``blocks.ranges``.
-    """
-    cached = span._block_trace
-    if cached is None or cached[0] is not blocks:
-        B, n = span.basis, span.dim
-        omega_weights = sum(
-            z / m for z, m in zip(blocks.projections, blocks.multiplicities)
-        )
-        # T[a, c] = trace(W B_c B_a) with W the block-trace weights
-        T = B.transpose(0, 2, 1).reshape(n, -1) @ (omega_weights @ B).reshape(n, -1).T
-        cached = span._block_trace = (blocks, T)
-    return cached[1]
-
-
 def density_element(
     span: OperatorSpan,
     blocks: WedderburnData,
     state: AlgebraState,
     rtol: float | None = None,
 ) -> DensityElement:
-    """Solve ``Tr_W(Drho B_a) = omega(B_a)`` for ``Drho`` in the span.
+    """The Hermitian ``Drho`` in the span with ``Tr_W(Drho B_a) = omega(B_a)``.
 
-    ``Tr_W(X) = sum_k trace(z_k X) / m_k`` is faithful on the span, so the
-    linear system has a unique solution; Hermiticity follows and is
-    checked. Block spectra are read off the compression of ``Drho`` to
+    ``Tr_W(X) = sum_k trace(z_k X) / m_k`` weighs block k by 1/m_k, i.e.
+    ``Tr_W(X) = trace(W X)`` with ``W = sum_k z_k / m_k``, so ``Drho`` is
+    the closed form ``W^-1 P(rho) = sum_k m_k z_k P(rho)``, with
+    ``P(rho) = sum_a conj(omega(B_a)) B_a`` the Hilbert-Schmidt projection
+    onto the span (``tr_B rho (x) 1_m`` for ``M_k (x) 1_m``). Hermiticity
+    is checked. Block spectra are read off the compression of ``Drho`` to
     each block range ``blocks.ranges[k]``: eigenvalues come in groups of
-    size m_k, and one representative per group is kept. The moment matrix of
-    ``Tr_W`` does not depend on the state: it is built once per (span,
-    blocks) and cached on the span, so per state only the moments
-    ``omega(B_a)``, the solve and the block compressions are computed.
-    ``rtol`` is accepted and has no effect: the solve makes no rank cut.
-    This is the batch of one of the stacked solve that
-    :func:`restriction_entropies` runs over many states.
+    size m_k, and one representative per group is kept. ``rtol`` is
+    accepted and has no effect. ``blocks`` from another span raises
+    ``ValueError``. This is the batch of one of the stacked computation
+    that :func:`restriction_entropies` runs over many states.
     """
     return _density_elements(span, blocks, [state])[0]
 
 
 def _density_elements(span: OperatorSpan, blocks: WedderburnData, states: list) -> list:
-    """:func:`density_element` for a list of states: one solve with a
-    right-hand side per state, the density elements and their Hermiticity
-    check stacked, and one stacked ``eigvalsh`` per block."""
+    """:func:`density_element` for a list of states: the moments, the
+    density elements and their Hermiticity check stacked, and one stacked
+    ``eigvalsh`` per block."""
     B, n, D = span.basis, span.dim, span.ambient_dim
-    T = _block_trace_system(span, blocks)
+    dims = (sum(blocks.block_dims), {V.shape[0] for V in blocks.ranges})
+    if dims != (n, {D}):
+        raise ValueError(f"Wedderburn data of dimension {dims[0]} on ambient dimension "
+                         f"{sorted(dims[1])} does not belong to a span of dimension {n} "
+                         f"on ambient dimension {D}")
     Y = stack([st.values(_matrix_stack(span, st)) for st in states])
-    try:
-        coeffs = np.linalg.solve(T, Y.T).T
-    except np.linalg.LinAlgError:
-        raise DecompositionError(
-            "block-trace moment system is singular; Wedderburn data does not "
-            "match the span"
-        ) from None
-    D_mat = (coeffs[:, None] @ B.reshape(n, D * D)).reshape(-1, D, D)
+    inverse_weights = sum(m * z for z, m in zip(blocks.projections, blocks.multiplicities))
+    # P(rho) = sum_a conj(omega(B_a)) B_a, and Drho = W^-1 P(rho)
+    D_mat = inverse_weights @ (Y.conj() @ B.reshape(n, D * D)).reshape(-1, D, D)
     scale = np.maximum(np.linalg.norm(D_mat, axis=(1, 2)), 1.0)
     # in this form a NaN defect fails
     if not (np.linalg.norm(D_mat - dagger(D_mat), axis=(1, 2)) <= RESULT_TOL * scale).all():

@@ -377,8 +377,10 @@ def _quotient_commutant(spaces: list, rtol: float) -> list:
         quot = stack([spaces[i].quotient_coords for i in pos])
         s, vh = right_singular((null.swapaxes(1, 2) @ rep).reshape(len(pos), n_null * r, r))
         # T_u xi = u, so u -> T_u has norm at least 1 and the cut is relative
-        # to 1 where the condition is smaller, e.g. pure roundoff or no rows
-        cut = np.count_nonzero(s > rtol * np.maximum(1.0, s[:, :1]), axis=1)
+        # to 1 where the condition is smaller, e.g. pure roundoff or no rows;
+        # NULL_FLOOR keeps roundoff out of the rank at rtol = 0
+        cut = np.count_nonzero(
+            s**2 > np.maximum((rtol * np.maximum(1.0, s[:, :1])) ** 2, NULL_FLOOR), axis=1)
         # pi_x[j] = pi(X_j), and T_u[i, j] = (pi(X_j) u)_i
         pi_x = (quot.swapaxes(1, 2) @ rep).reshape(-1, r, r, r)
         for c, sub in regroup(cut):

@@ -175,9 +175,11 @@ def row_basis(A: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal rows spanning the numerical row space of A, or of each
     matrix in a stack A (..., rows, cols): returns ``(vh, rank)``, the right
     singular vectors and how many lead rows of ``vh`` to keep, those whose
-    singular value exceeds ``rtol`` times the largest."""
+    singular value exceeds ``rtol`` times the largest and whose square
+    exceeds ``NULL_FLOOR``."""
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    return vh, np.count_nonzero(s > rtol * s.max(axis=-1, initial=0.0, keepdims=True), axis=-1)
+    cut = np.maximum((rtol * s.max(axis=-1, initial=0.0, keepdims=True)) ** 2, NULL_FLOOR)
+    return vh, np.count_nonzero(s**2 > cut, axis=-1)
 
 
 def chunks(n: int, item_size: int, budget: int) -> list[slice]:

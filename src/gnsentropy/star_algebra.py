@@ -52,10 +52,8 @@ class OperatorSpan:
     Data that depends on the span alone is computed on first use and cached
     on the instance, so it lives as long as the span does: the unit check
     (:attr:`unit_coords`, :attr:`has_unit`), :meth:`structure_constants`,
-    :meth:`closure_residual`, :meth:`adjoint_coords`, :func:`wedderburn`
-    per tolerance pair, and the block-trace moment matrix that
-    :func:`gnsentropy.entropy.density_element` builds for the last
-    Wedderburn data it was given (the block ranges live in that data).
+    :meth:`closure_residual`, :meth:`adjoint_coords` and :func:`wedderburn`
+    per tolerance pair.
 
     Parameters
     ----------
@@ -87,7 +85,6 @@ class OperatorSpan:
         self._closure: float | None = None
         self._adjoint: tuple[np.ndarray, float] | None = None
         self._wedderburn: dict[tuple[float, float], WedderburnData] = {}
-        self._block_trace: tuple | None = None
 
     @cached_property
     def unit_coords(self) -> np.ndarray | None:

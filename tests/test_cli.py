@@ -18,7 +18,7 @@ from gnsentropy.cli import (
     sweep_scenario,
 )
 from gnsentropy.entropy import LN2, restriction_entropies
-from gnsentropy.fock import example_generators
+from gnsentropy.fock import PRESET_NAMES, example_generators
 
 
 def write_spec(tmp_path, name, spec):
@@ -480,10 +480,64 @@ def test_a_bad_scenario_tolerance_exits_2(tmp_path, capsys, tol):
     assert f"tolerance must be finite and non-negative, got {tol!r}" in err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
-def test_a_zero_tolerance_is_accepted(tmp_path, capsys, command):
-    code, out, _ = run_cli(capsys, *tolerance_argv(tmp_path, command), "--tol", "0")
-    assert code == EXIT_OK and out
+def assert_values_match(got, want, tol, where="$"):
+    """Two parsed outputs agree: floats within ``tol``; strings, integers,
+    booleans and None exactly; dicts and lists entry by entry."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= tol, (where, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_values_match(got[key], want[key], tol, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_values_match(a, b, tol, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
+
+
+def parse_output(command, out):
+    if command == "run":
+        return json.loads(out)
+    rows = [line.split(",") for line in out.splitlines()]
+    return [rows[0]] + [[float(cell) if cell else cell for cell in row] for row in rows[1:]]
+
+
+@pytest.mark.parametrize("method", ["gns", "both"])
+@pytest.mark.parametrize("command", ["run", "sweep", "grid"])
+def test_a_zero_tolerance_gives_the_default_values(tmp_path, capsys, command, method):
+    # ex4_left and the boson grid hold singular values at roundoff that a
+    # relative cut of 0 alone would count as rank
+    spec = write_spec(tmp_path, "s.json", {"algebra": {"preset": "ex4_left"},
+                                           "state": {"parameters": {}}})
+    argv = {"run": ["run", spec],
+            "sweep": ["sweep", spec, "--param", "theta", "--from", "0", "--to", "1.5",
+                      "--steps", "7"],
+            "grid": ["grid", "--resolution", "3"]}[command] + ["--method", method]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    code, got, _ = run_cli(capsys, *argv, "--tol", "0")
+    assert code == EXIT_OK
+    assert_values_match(parse_output(command, got), parse_output(command, want), 1e-12)
+
+
+GOLDEN_RUNS = Path(__file__).parent / "golden" / "run_presets.json"
+
+
+@pytest.mark.parametrize("method", ["both", "gns", "wedderburn"])
+def test_runs_match_the_committed_golden(tmp_path, capsys, method):
+    # ``gnsentropy run --method <method>`` on each preset at its default
+    # parameters, as printed before the block route took its density element
+    # in closed form
+    golden = json.loads(GOLDEN_RUNS.read_text())
+    assert sorted(golden) == sorted(PRESET_NAMES)
+    for preset in PRESET_NAMES:
+        spec = write_spec(tmp_path, "s.json", {"algebra": {"preset": preset},
+                                               "state": {"parameters": {}}})
+        code, out, _ = run_cli(capsys, "run", spec, "--method", method)
+        assert code == EXIT_OK
+        assert_values_match(json.loads(out), golden[preset][method], 1e-14, preset)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,8 @@ from gnsentropy import (
     von_neumann_entropy,
     wedderburn,
 )
-from gnsentropy import entropy
 from gnsentropy.cli import plane_to_angles
-from gnsentropy.entropy import LN2
+from gnsentropy.entropy import LN2, restriction_entropies
 from gnsentropy.fock import example_generators
 
 import bruteforce as bf
@@ -167,8 +168,19 @@ def test_tracial_state_has_uniform_block_spectrum(n):
 
 
 def test_block_trace_moments_reproduce_the_state(preset_cases, preset_blocks):
-    for name, span, state in preset_cases:
-        blocks = preset_blocks[name]
+    # beyond the presets: Hecke N = 4 and 5, with several multiplicities in
+    # one span, and planted block spans, each with a pure state and a
+    # full-rank density
+    cases = [(span, preset_blocks[name], state) for name, span, state in preset_cases]
+    rng = np.random.default_rng(170)
+    spans = [span_closure(bf.hecke_generators(N, 1.7), include_unit=True) for N in (4, 5)]
+    spans += [OperatorSpan(bf.random_block_span(rng, D)[0]) for D in (6, 8, 12, 16)]
+    for span in spans:
+        D, blocks = span.ambient_dim, wedderburn(span)
+        X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        cases += [(span, blocks, AlgebraState(vector=X[:, 0], normalize=True)),
+                  (span, blocks, AlgebraState(density=X @ X.conj().T, normalize=True))]
+    for span, blocks, state in cases:
         dens = density_element(span, blocks, state)
         weights = sum(
             z / m for z, m in zip(blocks.projections, blocks.multiplicities)
@@ -179,25 +191,59 @@ def test_block_trace_moments_reproduce_the_state(preset_cases, preset_blocks):
         assert np.abs(got - want).max() < 1e-9
 
 
-def test_density_element_builds_the_block_trace_once_per_span():
+def test_density_element_on_a_tensor_factor_is_the_partial_trace():
+    # on M_3 (x) 1_2 the closed form W^-1 P(rho) is tr_B rho (x) 1_2
+    eye = np.eye(2) / np.sqrt(2)
+    span = OperatorSpan(np.array([np.kron(unit(3, i, j), eye)
+                                  for i in range(3) for j in range(3)]))
+    rng = np.random.default_rng(171)
+    X = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    state = AlgebraState(density=X @ X.conj().T, normalize=True)
+    dens = density_element(span, wedderburn(span), state)
+    want = np.kron(partial_trace(state.density, (3, 2)), np.eye(2))
+    assert np.abs(dens.matrix - want).max() < 1e-14
+
+
+def test_density_element_on_a_reused_span_matches_a_fresh_span():
     span, family = example_generators("ex5_bosons")
     blocks = wedderburn(span)
     axis = np.linspace(-2.0, 2.0, 7)
     states = [family.state(dict(zip(("theta", "phi"), plane_to_angles(x, y))))
               for x in axis for y in axis]
     reused = [density_element(span, blocks, states[0])]
-    T = entropy._block_trace_system(span, blocks)
     for state in states[1:]:
         reused.append(density_element(span, blocks, state))
-        assert entropy._block_trace_system(span, blocks) is T
     other = wedderburn(span, rtol=1e-11)
     density_element(span, other, states[0])
-    assert entropy._block_trace_system(span, other) is not T
     for state, dens in zip(states, reused):
         fresh_span, _ = example_generators("ex5_bosons")
         fresh = density_element(fresh_span, wedderburn(fresh_span), state)
         assert np.array_equal(dens.matrix, fresh.matrix)
         assert all(np.array_equal(a, b) for a, b in zip(dens.block_spectra, fresh.block_spectra))
+
+
+@pytest.mark.parametrize("direction", ["ex5 blocks on M6", "M6 blocks on ex5"])
+def test_blocks_of_another_span_are_rejected(direction):
+    ex5, family = example_generators("ex5_bosons")
+    full = full_matrix_algebra(6)
+    span, other = (full, ex5) if direction == "ex5 blocks on M6" else (ex5, full)
+    state, blocks = family.state(theta=1.0, phi=0.8), wedderburn(other)
+    want = (f"of dimension {other.dim} on ambient dimension [6] does not belong to a span "
+            f"of dimension {span.dim} on ambient dimension 6")
+    with pytest.raises(ValueError, match=re.escape(want)):
+        density_element(span, blocks, state)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        restriction_entropies(span, [state, state], method="wedderburn", blocks=blocks)
+
+
+def test_blocks_on_another_ambient_dimension_are_rejected():
+    # M_2 and the diagonal algebra on C^4 both have dimension 4
+    diagonal = OperatorSpan(np.array([unit(4, i, i) for i in range(4)]))
+    with pytest.raises(ValueError, match=re.escape("on ambient dimension [2] does not belong "
+                                                   "to a span of dimension 4 on ambient "
+                                                   "dimension 4")):
+        density_element(diagonal, wedderburn(full_matrix_algebra(2)),
+                        AlgebraState(vector=np.eye(4)[0]))
 
 
 def test_density_element_lies_in_the_span(preset_cases, preset_blocks):
