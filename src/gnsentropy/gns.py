@@ -21,7 +21,9 @@ and a vector u gives such an operator exactly when pi(X) u = 0 for every
 null X. So the commutant is read off the representation matrices and the
 null and quotient coordinates, inside the r-dimensional quotient, with no
 Kronecker solve, no products with the span's basis and no data from the
-block route. Its center is its intersection with the span of the
+block route. The map u -> T_u has norm at least 1, so the operators of
+orthonormal allowed u are independent and one QR orthonormalizes them,
+with no rank cut. Its center is its intersection with the span of the
 representation (its own bicommutant), found from principal angles with no
 commutators. A component's multiplicity m is read off a trace, as the
 square root of the dimension of the commutant's corner, and its irrep
@@ -366,9 +368,12 @@ def _quotient_commutant(spaces: list, rtol: float) -> list:
     ``null_coords``). The allowed ``u`` are the right null vectors of the
     stacked ``pi(X_nu)``, and the images ``T_u e_j = pi(X_j) u`` of the
     quotient basis (the columns of ``quotient_coords``) span the commutant.
-    Only ``rep_matrices``, ``null_coords`` and ``quotient_coords`` are
-    read: O(n r^3) work, with no products in the ambient space. Spaces of one
-    shape share each SVD.
+    Since ``T_u xi = u`` with ``|xi| = 1``, ``|sum_i a_i T_{u_i}|_HS >= |a|``
+    for orthonormal ``u_i``: every singular value of the stacked ``T_u`` is
+    at least 1, so one QR gives the orthonormal basis and no rank is cut
+    but that of the allowed ``u``. Only ``rep_matrices``, ``null_coords``
+    and ``quotient_coords`` are read: O(n r^3) work, with no products in
+    the ambient space. Spaces of one shape share each SVD and QR.
     """
     out = list(spaces)
     for (n, n_null, r), pos in regroup([sp.null_coords.shape + (sp.gns_dim,) for sp in spaces]):
@@ -385,10 +390,11 @@ def _quotient_commutant(spaces: list, rtol: float) -> list:
         pi_x = (quot.swapaxes(1, 2) @ rep).reshape(-1, r, r, r)
         for c, sub in regroup(cut):
             allowed = take(vh, sub)[:, c:].conj()
-            images = (take(pi_x, sub) @ allowed.swapaxes(1, 2)[:, None]).transpose(0, 3, 2, 1)
-            basis, rank = row_basis(images.reshape(len(sub), -1, r * r), rtol)
+            # one column T_u per allowed u
+            images = (take(pi_x, sub) @ allowed.swapaxes(1, 2)[:, None]).swapaxes(1, 2)
+            basis = np.linalg.qr(images.reshape(len(sub), r * r, -1))[0].swapaxes(1, 2)
             for j, i in enumerate(pos[sub]):
-                out[i] = OperatorSpan(basis[j, : rank[j]].reshape(-1, r, r), rtol=rtol)
+                out[i] = OperatorSpan(basis[j].reshape(-1, r, r), rtol=rtol)
     return out
 
 

@@ -176,8 +176,11 @@ def row_basis(A: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     matrix in a stack A (..., rows, cols): returns ``(vh, rank)``, the right
     singular vectors and how many lead rows of ``vh`` to keep, those whose
     singular value exceeds ``rtol`` times the largest and whose square
-    exceeds ``NULL_FLOOR``."""
-    _, s, vh = np.linalg.svd(A, full_matrices=False)
+    exceeds ``NULL_FLOOR``. A wide A is factored through its tall transpose
+    (Chan's R-SVD): the same singular values, and LAPACK's QR-first path."""
+    wide = A.shape[-2] < A.shape[-1]
+    u, s, vh = np.linalg.svd(dagger(A) if wide else A, full_matrices=False)
+    vh = dagger(u) if wide else vh
     cut = np.maximum((rtol * s.max(axis=-1, initial=0.0, keepdims=True)) ** 2, NULL_FLOOR)
     return vh, np.count_nonzero(s**2 > cut, axis=-1)
 

@@ -22,6 +22,7 @@ from gnsentropy import (
 from gnsentropy import star_algebra
 from gnsentropy.fock import PAULI
 from gnsentropy.gns import _commutant_center, _quotient_commutant
+from gnsentropy.linalg import NULL_FLOOR
 from gnsentropy.star_algebra import minimal_projections
 
 import bruteforce as bf
@@ -408,6 +409,21 @@ def assert_commutant_matches_oracle(space):
     reps = space.rep_matrices[None]
     C = got.basis[:, None]
     assert np.abs(C @ reps - reps @ C).max() < 1e-9
+    # one element per allowed u, orthonormal: the u annihilated by the null
+    # classes, cut as the stage cuts them
+    r, flat = space.gns_dim, got.basis.reshape(got.dim, -1)
+    assert np.abs(flat @ flat.conj().T - np.eye(got.dim)).max() <= 1e-12
+    pi_null = np.einsum("av,aij->vij", space.null_coords, space.rep_matrices).reshape(-1, r)
+    _, s, vh = np.linalg.svd(pi_null, full_matrices=True)
+    s_max = max(s.max(initial=0.0), 1.0)
+    cut = np.count_nonzero(s**2 > max((space.rtol * s_max) ** 2, NULL_FLOOR))
+    assert got.dim == r - cut
+    # T_u e_j = pi(X_j) u on the quotient basis, and T_u xi = u
+    u = vh[cut:].conj()
+    T = np.einsum("aj,aik,uk->uij", space.quotient_coords, space.rep_matrices, u)
+    assert np.abs(T @ space.cyclic_vector - u).max(initial=0.0) <= 1e-12
+    T = T.reshape(len(u), -1)
+    assert np.linalg.norm(T - (T @ flat.conj().T) @ flat, 2) <= 1e-12 * max(1.0, np.abs(T).max())
 
 
 FAMILY_GRIDS = {
@@ -456,6 +472,22 @@ def test_quotient_commutant_matches_oracle_on_hecke_n4_with_a_full_rank_density(
     space = build_gns(span, AlgebraState(density=X @ X.conj().T, normalize=True))
     assert space.null_dim == 0
     assert_commutant_matches_oracle(space)
+
+
+def test_quotient_commutant_matches_oracle_on_ten_decades_of_weights(presets):
+    span, family = presets["ex4_left"]
+    space = build_gns(span, family.state({"theta": float(np.arcsin(np.sqrt(1.6e-10)))}))
+    assert_commutant_matches_oracle(space)
+
+
+@pytest.mark.parametrize("D", [6, 8, 12])
+def test_quotient_commutant_matches_oracle_on_a_graded_spectrum(D):
+    # the first twelve-decade density of test_entropy's graded-spectrum cases
+    rng = np.random.default_rng(900 + 100 * 12 + 10 * D)
+    basis, _ = bf.random_block_span(rng, D, max_rank=4)
+    U = bf.random_frame(rng, D)
+    rho = U @ np.diag(np.logspace(0, -12, D)) @ U.conj().T
+    assert_commutant_matches_oracle(build_gns(OperatorSpan(basis), AlgebraState(density=rho, normalize=True)))
 
 
 def test_isotypic_weights_do_not_depend_on_the_quotient_basis_order(presets):

@@ -1,8 +1,20 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from gnsentropy import DecompositionError
-from gnsentropy.linalg import INTEGER_TOL, check_int, check_square, orthonormalize_rows, right_singular
+from gnsentropy import AlgebraState, DecompositionError, full_matrix_algebra, restriction_entropy
+from gnsentropy import linalg
+from gnsentropy.fock import example_generators
+from gnsentropy.linalg import (
+    INTEGER_TOL,
+    NULL_FLOOR,
+    check_int,
+    check_square,
+    orthonormalize_rows,
+    right_singular,
+    row_basis,
+)
 
 
 def cgauss(rng, *shape):
@@ -88,6 +100,61 @@ def test_right_singular_left_vectors_pair_with_the_right_ones(rows, cols):
     assert u.shape == (rows, m)
     assert np.abs(u.conj().T @ u - np.eye(m)).max() < 1e-13
     assert np.abs(A @ vh[:m].conj().T - u * s[:m]).max() < 1e-12
+
+
+def wide_stack(rng, rows, cols, ranks, real):
+    """A stack of rows x cols matrices, item i of rank ranks[i] (0: all zero),
+    with a duplicate row and a zero row in each item."""
+    draw = (lambda *shape: rng.standard_normal(shape)) if real else (lambda *shape: cgauss(rng, *shape))
+    A = np.stack([draw(rows, rank) @ draw(rank, cols) for rank in ranks])
+    A[:, 1] = A[:, 0]
+    A[:, -1] = 0.0
+    return A
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("rtol", [1e-10, 0.0])
+@pytest.mark.parametrize("rows, cols, ranks", [
+    (6, 25, [3]),
+    (25, 625, [24, 10, 1, 0]),
+    (12, 40, [0, 0]),
+    (8, 9, [5, 7, 2]),
+])
+def test_row_basis_of_a_wide_stack_matches_the_plain_svd(rows, cols, ranks, rtol, real):
+    A = wide_stack(np.random.default_rng(rows + cols), rows, cols, ranks, real)
+    vh, rank = row_basis(A, rtol)
+    _, s0, vh0 = np.linalg.svd(A, full_matrices=False)
+    cut = np.maximum((rtol * s0.max(axis=-1, initial=0.0, keepdims=True)) ** 2, NULL_FLOOR)
+    want = np.count_nonzero(s0**2 > cut, axis=-1)
+    # the duplicate and the zero row take one rank each from a full-rank draw
+    assert rank.tolist() == want.tolist() == [min(k, rows - 2) for k in ranks]
+    assert vh.shape == A.shape and vh.dtype == A.dtype
+    for V, V0, k in zip(vh, vh0, rank):
+        V, V0 = V[:k], V0[:k]
+        assert np.abs(V @ V.conj().T - np.eye(k)).max(initial=0.0) <= 1e-12
+        assert np.linalg.norm(V.conj().T @ V - V0.conj().T @ V0, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["faithful", "ex5_bosons"])
+def test_row_basis_hands_no_wide_matrix_to_the_svd(monkeypatch, case):
+    plain_svd, seen = np.linalg.svd, []
+
+    def svd(a, *args, **kwargs):
+        if inspect.currentframe().f_back.f_code is linalg.row_basis.__code__:
+            seen.append(np.shape(a))
+            assert a.shape[-2] >= a.shape[-1], f"row_basis took the SVD of a wide {a.shape}"
+        return plain_svd(a, *args, **kwargs)
+
+    if case == "faithful":
+        x = cgauss(np.random.default_rng(0), 5, 5)
+        span, state = full_matrix_algebra(5), AlgebraState(density=x @ x.conj().T, normalize=True)
+    else:
+        span, family = example_generators("ex5_bosons")
+        state = family.state({"theta": 0.7, "phi": 0.3})
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    restriction_entropy(span, state, method="both")
+    # the center's basis of pi(A) is a wide stack in both cases
+    assert seen
 
 
 def test_integer_readings_round_within_the_tolerance():
