@@ -6,7 +6,12 @@ Fermionic ladder matrices live on the 2^d occupation-number Fock space
 embed into tensor powers of the one-particle space through normalized
 antisymmetrized (or, for bosons, symmetrized) basis vectors, and
 one-particle observables lift to a sector by summing the operator over
-tensor slots.
+tensor slots. The lift is applied slot by slot to the sector basis, so no
+operator on the whole tensor power is ever formed.
+
+The ladder matrices are ``scipy.sparse``; scipy is imported by
+``car_ladders`` on its first call (of the presets, only ``ex4_left``
+calls it), so importing this module needs numpy alone.
 
 ``example_generators`` returns the preset (subalgebra, state family)
 pairs used throughout the test suite and the CLI: a qubit algebra with a
@@ -23,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .gns import AlgebraState
 from .linalg import UNITARY_TOL, as_square, hs_norm
@@ -84,11 +88,15 @@ class LadderSet:
 def car_ladders(d: int) -> LadderSet:
     """Ladder matrices obeying ``a_i a_j^dag + a_j^dag a_i = delta_ij``.
 
-    Sparse matrices; the anticommutators hold to machine precision and the
-    total number operator is diagonal with spectrum {0, ..., d}.
+    ``scipy.sparse`` CSR matrices; the anticommutators hold to machine
+    precision and the total number operator is diagonal with spectrum
+    {0, ..., d}. This is the package's only use of scipy, so the first call
+    imports ``scipy.sparse`` and ``import gnsentropy`` needs numpy alone.
     """
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 1 <= d <= MAX_MODES:
         raise ValueError(f"mode count must be an integer in [1, {MAX_MODES}], got {d!r}")
+    from scipy.sparse import csr_matrix
+
     dim = 1 << d
     states = np.arange(dim)
     creation = []
@@ -131,6 +139,10 @@ class FockContext:
 
     def __init__(self, single_particle_dim: int, statistics: str = "fermionic",
                  particles: int = 2):
+        for name, value in (("single_particle_dim", single_particle_dim),
+                            ("particles", particles)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         d, k = int(single_particle_dim), int(particles)
         if statistics not in ("fermionic", "bosonic"):
             raise ValueError(f"unknown statistics {statistics!r}")
@@ -168,39 +180,42 @@ class FockContext:
         )
 
 
+def _slot_apply(op: np.ndarray, T: np.ndarray, slot: int) -> np.ndarray:
+    """``op`` applied to tensor slot ``slot`` of T, shaped (d,)*k + (columns,)."""
+    return np.moveaxis(np.tensordot(op, T, axes=([1], [slot])), 0, slot)
+
+
 def coproduct_embed(A, ctx: FockContext) -> np.ndarray:
     """One-particle operator summed over tensor slots, compressed to the sector.
 
     The map is a Lie-algebra homomorphism: commutators of one-particle
-    operators go to commutators of their embeddings.
+    operators go to commutators of their embeddings. Each slot's term acts
+    on the sector basis directly, at O(k d^(k+1)) per basis vector.
     """
     d, k = ctx.single_particle_dim, ctx.particles
     A = as_square(A, ambient_dim=d, name="one-particle operator")
-    total = np.zeros((d**k, d**k), dtype=complex)
-    for slot in range(k):
-        term = np.eye(1, dtype=complex)
-        for j in range(k):
-            term = np.kron(term, A if j == slot else np.eye(d))
-        total += term
     E = ctx.embedding
-    return E.conj().T @ total @ E
+    T = E.reshape((d,) * k + (ctx.dim,))
+    total = sum(_slot_apply(A, T, slot) for slot in range(k))
+    return E.conj().T @ total.reshape(E.shape)
 
 
 def group_embed(U, ctx: FockContext) -> np.ndarray:
     """k-fold tensor power of a unitary, compressed to the sector.
 
     Multiplicative in the group: products map to products of embeddings.
+    The power acts on the sector basis one slot at a time.
     """
     d, k = ctx.single_particle_dim, ctx.particles
     U = as_square(U, ambient_dim=d, name="unitary")
     defect = hs_norm(U.conj().T @ U - np.eye(d))
     if defect > UNITARY_TOL * np.sqrt(d):
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    total = np.eye(1, dtype=complex)
-    for _ in range(k):
-        total = np.kron(total, U)
     E = ctx.embedding
-    return E.conj().T @ total @ E
+    T = E.reshape((d,) * k + (ctx.dim,))
+    for slot in range(k):
+        T = _slot_apply(U, T, slot)
+    return E.conj().T @ T.reshape(E.shape)
 
 
 def f_basis_embedding() -> np.ndarray:

@@ -57,6 +57,15 @@ INTEGER_TOL = 1e-6
 #: solved in consecutive chunks, of one state at least.
 STACK_BUDGET = 1 << 14
 
+# Allocate and free one untouched 16 MiB block at import. Freeing it raises
+# glibc malloc's dynamic mmap threshold to 16 MiB and its heap trim
+# threshold to twice that, so the megabyte or two of temporaries a solve
+# allocates stay on the heap between solves instead of being handed back to
+# the OS and faulted in again on the next one. The block stays under
+# glibc's 32 MiB cap on that adaptation; being untouched, it adds no
+# resident memory, and other C libraries are unaffected.
+np.empty(1 << 20, dtype=complex)
+
 
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose, broadcasting over leading axes."""

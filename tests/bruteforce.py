@@ -82,6 +82,30 @@ def sector_embedding_by_permutations(d, k, statistics):
     return E / np.linalg.norm(E, axis=0)
 
 
+def coproduct_by_kron(A, ctx):
+    """Sum over tensor slots of A, built as the full d^k x d^k Kronecker
+    operator and compressed to the sector of ``ctx``."""
+    d, k = ctx.single_particle_dim, ctx.particles
+    total = np.zeros((d**k, d**k), dtype=complex)
+    for slot in range(k):
+        term = np.eye(1, dtype=complex)
+        for j in range(k):
+            term = np.kron(term, A if j == slot else np.eye(d))
+        total += term
+    E = ctx.embedding
+    return E.conj().T @ total @ E
+
+
+def group_power_by_kron(U, ctx):
+    """k-fold Kronecker power of U, built in full and compressed to the
+    sector of ``ctx``."""
+    total = np.eye(1, dtype=complex)
+    for _ in range(ctx.particles):
+        total = np.kron(total, U)
+    E = ctx.embedding
+    return E.conj().T @ total @ E
+
+
 def one_particle_on_pair(t, d):
     """t (x) 1 + 1 (x) t compressed to the two-fermion wedge sector."""
     E = wedge_embedding(d)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,19 @@ def test_context_validation():
     # 2^16 tensor words exceed MAX_TENSOR_DIM
     with pytest.raises(ValueError, match="too large"):
         FockContext(2, "bosonic", 16)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, np.bool_(True), "3", None])
+def test_context_rejects_non_integer_inputs(bad):
+    with pytest.raises(ValueError, match="single_particle_dim must be an integer"):
+        FockContext(bad, "bosonic", 2)
+    with pytest.raises(ValueError, match="particles must be an integer"):
+        FockContext(3, "bosonic", bad)
+
+
+def test_context_accepts_numpy_integers():
+    ctx = FockContext(np.int64(3), "fermionic", np.int32(2))
+    assert (ctx.single_particle_dim, ctx.particles, ctx.dim) == (3, 2, 3)
 
 
 @pytest.mark.parametrize("d, k", [(1, 4), (2, 3), (2, 5), (3, 3), (3, 4), (4, 3)])
@@ -212,6 +226,39 @@ def test_group_and_lie_embeddings_are_consistent(statistics, d, k):
     lhs = group_embed(herm_exp(H), ctx)
     rhs = herm_exp(coproduct_embed(H, ctx))
     assert np.abs(lhs - rhs).max() < 1e-8
+
+
+EMBED_CASES = [
+    ("fermionic", 3, 2), ("fermionic", 4, 3), ("fermionic", 5, 4), ("fermionic", 6, 3),
+    ("bosonic", 1, 3), ("bosonic", 2, 5), ("bosonic", 3, 3), ("bosonic", 4, 2),
+]
+
+
+@pytest.mark.parametrize("statistics,d,k", EMBED_CASES)
+def test_slotwise_embeddings_match_the_kronecker_operator(statistics, d, k):
+    rng = np.random.default_rng(100 * d + k)
+    ctx = FockContext(d, statistics, k)
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert np.abs(coproduct_embed(A, ctx) - bf.coproduct_by_kron(A, ctx)).max() < 1e-13
+    U = herm_exp(bf_random_hermitian(rng, d))
+    assert np.abs(group_embed(U, ctx) - bf.group_power_by_kron(U, ctx)).max() < 1e-13
+
+
+def test_embeddings_form_no_tensor_power_operator():
+    # the 2^10 x 2^10 Kronecker operator alone would take 16 MiB
+    ctx = FockContext(2, "bosonic", 10)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    U = herm_exp(bf_random_hermitian(rng, 2))
+    tracemalloc.start()
+    try:
+        got_a, got_u = coproduct_embed(A, ctx), group_embed(U, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.abs(got_a - bf.coproduct_by_kron(A, ctx)).max() < 1e-13
+    assert np.abs(got_u - bf.group_power_by_kron(U, ctx)).max() < 1e-13
 
 
 def test_non_unitary_group_embedding_rejected():
