@@ -10,7 +10,10 @@ the state. For ``omega = trace(L L^dag .)`` the class of ``X`` is ``X L``,
 so the quotient is the cyclic subspace spanned by the ``B_a L`` in
 C^(D x k) and ``pi(B_a)`` is ``B_a (x) 1_k`` restricted to it: the
 representation comes from products with the state's factor, and the span's
-structure constants are never expanded.
+structure constants are never expanded. The span must be an algebra: a span
+from :func:`gnsentropy.star_algebra.span_closure` carries the cut it closed
+at, which bounds its closure residual, so that check forms no product; any
+other span is multiplied by its generators (else its basis) to measure it.
 
 The quotient representation is then split into isotypic components: the
 ranges of the minimal projections of the center of the commutant of the
@@ -254,8 +257,12 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     of ``X`` is ``X L``, so ``pi(B_a)`` is ``B_a (x) 1_k`` on the range of
     E: ``rep_matrices[a] = E^dag (B_a (x) 1_k) E`` and the cyclic vector is
     ``E^dag vec(L)``, with no structure constants. The span must be
-    multiplicatively closed; :meth:`OperatorSpan.closure_residual` checks
-    that from the products of the basis with the generators. This is the
+    multiplicatively closed. A span from
+    :func:`gnsentropy.star_algebra.span_closure` certified that itself
+    (:attr:`OperatorSpan.closure_cut`), and no product is formed when that
+    certificate is within ``CLOSURE_SLACK * rtol``; otherwise
+    :meth:`OperatorSpan.closure_residual` checks it from the products of the
+    basis with the generators. This is the
     batch of one of the stacked construction that
     :func:`gnsentropy.entropy.restriction_entropies` runs over many states.
     """
@@ -264,7 +271,10 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
 
 
 def _check_closure(span: OperatorSpan, rtol: float) -> None:
-    resid, cut = span.closure_residual(), CLOSURE_SLACK * rtol
+    cut = CLOSURE_SLACK * rtol
+    if span.closure_cut is not None and span.closure_cut <= cut:
+        return
+    resid = span.closure_residual()
     if resid <= cut:
         return
     factors = (f"its {len(span.generators)} generators" if span.generators is not None

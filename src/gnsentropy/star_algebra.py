@@ -1,13 +1,15 @@
 """Finite-dimensional *-algebras as concrete spans of complex matrices.
 
 An :class:`OperatorSpan` stores an orthonormal basis (under the
-Hilbert-Schmidt pairing) of a subspace of D x D matrices, plus the seeds
-it was closed from when it came from :func:`span_closure`. The operations
-here close spans under products and adjoints, compute centers (commuting
-with the seeds, else with the basis) and commutants as null spaces of
-commutator maps, and split a unital *-closed span into its irreducible
-matrix blocks by jointly refining the eigenspaces of a Hermitian basis of
-the center, and reading each block's dimension off a trace.
+Hilbert-Schmidt pairing) of a subspace of D x D matrices, plus, when it
+came from :func:`span_closure`, the seeds it was closed from (the unit
+aside) and the cut it closed at, a bound on its closure residual. The
+operations here close spans under products and adjoints, compute centers
+(commuting with the seeds, else with the basis) and commutants as null
+spaces of commutator maps, and split a unital *-closed span into its
+irreducible matrix blocks by jointly refining the eigenspaces of a
+Hermitian basis of the center, and reading each block's dimension off a
+trace.
 
 Every function is pure and deterministic and makes no random draws; basis
 ordering is fixed by input order plus a deterministic enumeration of
@@ -63,11 +65,14 @@ class OperatorSpan:
     rtol : float, optional
         Relative tolerance used by membership queries.
     generators : ndarray, shape (s, D, D), optional
-        Elements generating the span as an algebra, trusted like the basis.
-        :func:`center` commutes with these instead of with the basis, and
-        :meth:`closure_residual` multiplies the basis by these alone. A set
-        that generates less than the span defeats both: the center comes
-        out too large and a span that is not closed can pass as closed.
+        Elements generating the span as a unital algebra (together with the
+        identity, which need not be among them), trusted like the basis; s
+        may be 0. :func:`center` commutes with these instead of with the
+        basis, and :meth:`closure_residual` multiplies the basis by these
+        alone. A set that generates less than the span defeats both: the
+        center comes out too large and a span that is not closed can pass
+        as closed. Any other shape raises ``ValueError``.
+
     """
 
     def __init__(self, basis: np.ndarray, rtol: float | None = None,
@@ -77,9 +82,15 @@ class OperatorSpan:
             raise ValueError(f"basis must have shape (n, D, D), got {basis.shape}")
         self.basis = basis
         self.basis.setflags(write=False)
-        self.generators = None if generators is None else np.array(generators, dtype=complex)
-        if self.generators is not None:
-            self.generators.setflags(write=False)
+        if generators is not None:
+            generators = np.array(generators, dtype=complex)
+            if generators.ndim != 3 or generators.shape[1:] != basis.shape[1:]:
+                D = basis.shape[1]
+                raise ValueError(f"generators must have shape (s, {D}, {D}) to match the "
+                                 f"basis {basis.shape}, got {generators.shape}")
+            generators.setflags(write=False)
+        self.generators = generators
+        self._closure_cut: float | None = None
         self.rtol = DEFAULT_RTOL if rtol is None else rtol
         self._structure: tuple[np.ndarray, float] | None = None
         self._closure: float | None = None
@@ -96,6 +107,13 @@ class OperatorSpan:
         coords = self.coords(eye)
         inside = hs_norm(eye - self.reconstruct(coords)) <= self.rtol * hs_norm(eye)
         return coords if inside else None
+
+    @property
+    def closure_cut(self) -> float | None:
+        """A bound on :meth:`closure_residual` that :func:`span_closure`
+        certified while closing the span, so that no product need be formed
+        to check closure; None for a span built by hand."""
+        return self._closure_cut
 
     @property
     def has_unit(self) -> bool:
@@ -156,6 +174,8 @@ class OperatorSpan:
         """
         B = self.basis
         n, D, s = self.dim, self.ambient_dim, factors.shape[0]
+        if s == 0:
+            return np.zeros((n, 0, n), dtype=complex), 0.0
         flat = B.reshape(n, D * D)
         row, dual = factors.transpose(1, 0, 2).reshape(D, s * D), flat.conj().T
         coeff, resid = np.empty((n, s, n), dtype=complex), 0.0
@@ -183,12 +203,15 @@ class OperatorSpan:
     def closure_residual(self) -> float:
         """Largest HS norm left unexpanded by the products ``B_a S``.
 
-        S runs over the span's ``generators``: n*s products rather than n^2.
-        For a unital span that its generators generate, ``span S`` inside
-        the span gives ``span S^j`` inside it for every j, hence
-        ``span span`` inside it. A span without generators falls back to its
-        basis, and the value is :meth:`structure_constants`' residual, read
-        from its cache when it is there. Cached like it.
+        S runs over the span's ``generators``: n*s products rather than n^2,
+        and none (residual 0) when s is 0. For a unital span that its
+        generators generate with the identity, ``span S`` inside the span
+        gives ``span S^j`` inside it for every j, hence ``span span`` inside
+        it. A span without generators falls back to its basis, and the value
+        is :meth:`structure_constants`' residual, read from its cache when it
+        is there. Cached like it. This is always the measured value; a span
+        from :func:`span_closure` also carries a bound on it,
+        :attr:`closure_cut`, that costs nothing to read.
         """
         if self.generators is None:
             return self.structure_constants()[1]
@@ -279,14 +302,28 @@ def span_closure(
 ) -> OperatorSpan:
     """Smallest *-closed (optionally unital) span containing the generators.
 
-    The seeds (the generators in input order, their adjoints, and the
-    identity when requested) are orthonormalized into a basis S0, listed
-    first and kept as the span's ``generators``. The span is the algebra
-    they generate: every word in S0 is a shorter word times one element of
-    S0. So each round multiplies only the previous round's new directions
+    The seeds (the generators in input order, then their adjoints) are
+    orthonormalized into a basis S0, listed first and kept as the span's
+    ``generators``; the identity, when requested, is orthonormalized
+    against S0 into the next basis row. The span is the algebra they
+    generate: every word in S0 is a shorter word times one element of S0,
+    and the unit's products are already in the span. So each round
+    multiplies only the previous round's new directions (S0 in the first)
     by S0 on the right, in (new direction, seed) order, and appends what is
-    new; a round that adds nothing ends the closure. The result is
-    reproducible for a fixed input order.
+    new; a round that adds nothing ends the closure. The unit row is never
+    a left factor, so with s seeds in S0 a span of dimension n with a unit
+    row costs (n - 1) * s products in all. The result is reproducible for a
+    fixed input order.
+
+    Every product N S of a basis direction other than the unit row with a
+    seed is formed in exactly one round. It is kept, or dropped with a
+    residual at most the round's cut, ``rtol`` times its largest candidate
+    (at most ``rtol``, as ``|N S|_HS <= |N|_HS |S|_op <= 1``), and the basis
+    only grows. The unit row is ``(1 - sum_i c_i S_i) / nu``, so its
+    products with the seeds are left at most ``|c|_1 / nu`` times that. The
+    largest cut, raised by that factor when it exceeds 1, bounds
+    :meth:`OperatorSpan.closure_residual` and is recorded as the span's
+    ``closure_cut``.
 
     Raises
     ------
@@ -311,16 +348,23 @@ def span_closure(
         raise ValueError("ambient_dim is required when no generators are given")
 
     seeds = [m.ravel() for m in mats] + [dagger(m).ravel() for m in mats]
+    basis = new = orthonormalize_rows(seeds, rtol=rtol).reshape(-1, D * D)
+    S0, lever = basis.reshape(-1, D, D), 1.0
     if include_unit:
-        seeds.append(np.eye(D, dtype=complex).ravel())
-    basis = new = orthonormalize_rows(seeds, rtol=rtol)
+        eye = np.eye(D, dtype=complex).ravel()
+        unit = orthonormalize_rows([eye], against=basis, rtol=rtol)
+        if unit.shape[0]:
+            # <unit row, 1> = nu, and c = S0 coordinates of 1
+            lever = max(lever, np.abs(basis.conj() @ eye).sum() / (unit[0] @ eye).real)
+        basis = np.vstack([basis, unit])
     if basis.shape[0] == 0:
         raise ValueError("empty span: no generators and include_unit=False")
-    S0 = basis.reshape(-1, D, D)
 
     max_rounds = D * D if max_rounds is None else max_rounds
+    cut = 0.0
     for _ in range(max_rounds):
         prods = np.matmul(new.reshape(-1, 1, D, D), S0).reshape(-1, D * D)
+        cut = max(cut, rtol * np.linalg.norm(prods, axis=1).max(initial=0.0))
         new = orthonormalize_rows(prods, against=basis, rtol=rtol)
         if new.shape[0] == 0:
             span = OperatorSpan(basis.reshape(-1, D, D), rtol=rtol, generators=S0)
@@ -329,6 +373,7 @@ def span_closure(
                 raise ClosureError(
                     f"closure is not adjoint-stable (residual {adj_resid:.3e})"
                 )
+            span._closure_cut = float(lever * cut)
             return span
         basis = np.vstack([basis, new])
     raise ClosureError(
@@ -345,10 +390,12 @@ def center(span: OperatorSpan, rtol: float | None = None) -> OperatorSpan:
     """Elements of the span commuting with the whole span.
 
     An element commutes with the span once it commutes with a generating
-    set: ``span.generators`` when the span has them (the seeds of
-    :func:`span_closure`), else the basis. Solved on coefficient space: the
-    null space of the positive semidefinite Gram matrix of the commutator
-    map ``x -> [x, S]``, accumulated one generator S at a time.
+    set: ``span.generators`` when the span has them (the non-unit seeds of
+    :func:`span_closure`; everything commutes with the unit), else the
+    basis. Solved on coefficient space: the null space of the positive
+    semidefinite Gram matrix of the commutator map ``x -> [x, S]``,
+    accumulated one generator S at a time; with no generators the map is
+    zero and the center is the whole span.
     """
     rtol = span.rtol if rtol is None else rtol
     B = span.basis

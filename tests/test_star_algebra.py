@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from gnsentropy import (
 )
 from gnsentropy import DecompositionError, star_algebra
 from gnsentropy.fock import EX5_BLOCKS, PAULI, example_generators
-from gnsentropy.linalg import CLUSTER_TOL
+from gnsentropy.linalg import CLOSURE_SLACK, CLUSTER_TOL, orthonormalize_rows
 from gnsentropy.star_algebra import minimal_projections
 
 import bruteforce as bf
@@ -228,8 +229,12 @@ def oracle_span(presets, kind, arg):
     return {"planted_closure": planted_closure_span, "planted_basis": planted_basis_span}[kind](arg)
 
 
-ORACLE_IDS = [f"{kind}-{'x'.join(map(str, arg)) if isinstance(arg, tuple) else arg}"
-              for kind, arg in ORACLE_SPANS]
+def span_ids(spans):
+    return [f"{kind}-{'x'.join(map(str, arg)) if isinstance(arg, tuple) else arg}"
+            for kind, arg in spans]
+
+
+ORACLE_IDS = span_ids(ORACLE_SPANS)
 
 
 @pytest.mark.parametrize("kind, arg", ORACLE_SPANS, ids=ORACLE_IDS)
@@ -342,20 +347,131 @@ def test_wedderburn_ranges_are_read_only_isometries_onto_the_projections(preset_
 def test_closure_keeps_its_orthonormal_seeds_as_generators():
     gens = bf.hecke_generators(4, 1.7)
     span = span_closure(gens, include_unit=True)
-    # three symmetric generators (their adjoints add nothing) and the unit
+    # three symmetric generators (their adjoints add nothing); the unit,
+    # orthonormalized against them, is the next basis row and no generator
     S = span.generators
-    assert S.shape == (4, 16, 16)
-    assert np.abs(S.reshape(4, -1).conj() @ S.reshape(4, -1).T - np.eye(4)).max() < 1e-12
-    assert np.array_equal(S, span.basis[:4])
+    assert S.shape == (3, 16, 16)
+    assert np.abs(S.reshape(3, -1).conj() @ S.reshape(3, -1).T - np.eye(3)).max() < 1e-12
+    assert np.array_equal(S, span.basis[:3])
+    rest = np.eye(16) - np.tensordot(np.trace(S, axis1=1, axis2=2).conj(), S, axes=(0, 0))
+    assert np.abs(span.basis[3] - rest / np.linalg.norm(rest)).max() < 1e-12
     assert not S.flags.writeable
     assert OperatorSpan(span.basis).generators is None
+
+
+def test_span_rejects_generators_of_another_shape():
+    basis = span_closure([unit(3, 0, 1)], include_unit=True).basis
+    for bad in (np.zeros((2, 2, 2)), np.zeros((3, 3)), np.zeros((1, 3, 4))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"(s, 3, 3) to match the basis (5, 3, 3), got {bad.shape}")):
+            OperatorSpan(basis, generators=bad)
+    assert OperatorSpan(basis, generators=np.zeros((0, 3, 3))).generators.shape == (0, 3, 3)
+
+
+def test_scalars_have_no_generators_and_are_their_own_center():
+    span = span_closure([], include_unit=True, ambient_dim=3)
+    assert span.generators.shape == (0, 3, 3)
+    assert span.closure_cut == 0.0
+    coeff, resid = span._expand_products(span.generators)
+    assert coeff.shape == (1, 0, 1) and resid == 0.0
+    for s in (span, OperatorSpan(span.basis, generators=span.generators)):
+        assert s.closure_residual() == 0.0
+        Z = center(s)
+        assert Z.dim == 1
+        assert abs(abs(np.vdot(Z.basis[0], span.basis[0])) - 1.0) < 1e-12
+
+
+CERTIFIED_SPANS = (
+    [("hecke", N) for N in (3, 4, 5, 6)]
+    + [("frame", km) for km in [(2, 3), (3, 4), (4, 6), (5, 7)]]
+    + [("planted_closure", s) for s in range(6)]
+    + [("preset", name) for name in ("ex2_bell", "ex3_choice2", "ex4_left", "ex5_bosons")]
+)
+
+
+@pytest.mark.parametrize("kind, arg", CERTIFIED_SPANS, ids=span_ids(CERTIFIED_SPANS))
+def test_closure_certificate_bounds_the_measured_residual(presets, kind, arg):
+    span = oracle_span(presets, kind, arg)
+    assert span.closure_cut is not None
+    assert span.closure_residual() <= span.closure_cut
+    # commuting with the seeds alone finds the center of the whole span; at
+    # N = 6 the seeds and the unit row stand in for the slow all-basis oracle
+    seeds_and_unit = span.basis[: len(span.generators) + 1]
+    oracle = OperatorSpan(span.basis, generators=seeds_and_unit if arg == 6 else None)
+    got, want = center(span), center(oracle)
+    assert got.dim == want.dim
+    flat = span.basis.reshape(span.dim, -1).conj().T
+    P, Q = (Z.basis.reshape(Z.dim, -1) @ flat for Z in (got, want))
+    assert np.abs(P.conj().T @ P - Q.conj().T @ Q).max() <= 1e-12
+    assert sorted(wedderburn(span).block_table()) == sorted(wedderburn(oracle).block_table())
+
+
+def test_the_certificate_covers_the_unit_rows_products():
+    # g nearly is the unit: at rtol 0.01 the closure stops at span{g, 1} and
+    # drops g^2. The unit row (1 - c S_0) / nu then leaves its product with
+    # S_0 |c| / nu times g^2's residual, above the cut of any round.
+    g = np.diag([1.0, 1.1, 1.2, 1.3]).astype(complex)
+    span = span_closure([g], include_unit=True, rtol=0.01)
+    assert span.dim == 2
+    assert 0.01 < span.closure_residual() <= span.closure_cut
+
+
+def test_a_hand_built_span_carries_no_certificate():
+    span = span_closure(bf.hecke_generators(4, 1.7), include_unit=True)
+    again = OperatorSpan(span.basis, generators=span.generators)
+    assert again.closure_cut is None
+    assert again.closure_residual() == span.closure_residual()
+
+
+@pytest.mark.parametrize("kind, arg", [("frame", (4, 6)), ("hecke", 4)])
+def test_restriction_entropy_on_a_closure_forms_no_products(monkeypatch, kind, arg):
+    span = oracle_span(None, kind, arg)
+    psi = np.random.default_rng(902).standard_normal(span.ambient_dim) + 0j
+    monkeypatch.setattr(OperatorSpan, "_expand_products",
+                        lambda self, factors: pytest.fail("products formed"))
+    report = restriction_entropy(span, AlgebraState(vector=psi, normalize=True), method="both")
+    assert report.methods_agree
+
+
+@pytest.mark.parametrize("kind, arg, n, s", [("frame", (4, 6), 16, 2), ("hecke", 4, 14, 3)])
+def test_closure_forms_one_product_per_seed_and_non_unit_row(monkeypatch, kind, arg, n, s):
+    calls = []
+
+    def counted(rows, against=None, rtol=None):
+        calls.append(len(rows))
+        return orthonormalize_rows(rows, against=against, rtol=rtol)
+
+    monkeypatch.setattr(star_algebra, "orthonormalize_rows", counted)
+    span = oracle_span(None, kind, arg)
+    assert (span.dim, len(span.generators)) == (n, s)
+    # the seeds and their adjoints, the unit, then one call per round
+    _, unit_rows, *rounds = calls
+    assert unit_rows == 1
+    assert rounds[0] == s * s
+    assert sum(rounds) == (n - 1) * s
+
+
+def test_a_closure_coarser_than_the_solve_runs_the_product_check(monkeypatch):
+    span = tensor_frame_span(4, 6)
+    assert 1e-14 * CLOSURE_SLACK < span.closure_cut <= 1e-10
+    psi = np.random.default_rng(903).standard_normal(24) + 0j
+    state = AlgebraState(vector=psi, normalize=True)
+    want = restriction_entropy(span, state, method="both")
+    calls = []
+    expand = OperatorSpan._expand_products
+    monkeypatch.setattr(OperatorSpan, "_expand_products",
+                        lambda self, factors: calls.append(len(factors)) or expand(self, factors))
+    got = restriction_entropy(span, state, method="both", rtol=1e-14)
+    assert calls == [len(span.generators)]
+    assert got.gns_dim == want.gns_dim and got.null_dim == want.null_dim
+    assert np.abs(got.spectrum - want.spectrum).max() <= 1e-12
 
 
 @pytest.mark.parametrize("N, table", [(4, [(1, 5), (3, 3), (2, 1)]), (5, [(1, 6), (4, 4), (5, 2)])])
 def test_hecke_block_tables_match_quantum_schur_weyl(N, table):
     span = span_closure(bf.hecke_generators(N, 1.7), include_unit=True)
     assert span.dim == sum(n * n for n, _ in table)
-    assert len(span.generators) == N
+    assert len(span.generators) == N - 1
     data = wedderburn(span)
     assert sorted(data.block_table()) == sorted(table)
     assert center(span).dim == len(table)
