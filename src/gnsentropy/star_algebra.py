@@ -2,8 +2,9 @@
 
 An :class:`OperatorSpan` stores an orthonormal basis (under the
 Hilbert-Schmidt pairing) of a subspace of D x D matrices, plus, when it
-came from :func:`span_closure`, the seeds it was closed from (the unit
-aside) and the cut it closed at, a bound on its closure residual. The
+came from :func:`span_closure`, the factors it was closed by (its seeds,
+and its unit row when that is needed) and the cut it closed at, a bound on
+its closure residual. The
 operations here close spans under products and adjoints, compute centers
 (commuting with the seeds, else with the basis) and commutants as null
 spaces of commutator maps, and split a unital *-closed span into its
@@ -72,7 +73,6 @@ class OperatorSpan:
         alone. A set that generates less than the span defeats both: the
         center comes out too large and a span that is not closed can pass
         as closed. Any other shape raises ``ValueError``.
-
     """
 
     def __init__(self, basis: np.ndarray, rtol: float | None = None,
@@ -303,27 +303,28 @@ def span_closure(
     """Smallest *-closed (optionally unital) span containing the generators.
 
     The seeds (the generators in input order, then their adjoints) are
-    orthonormalized into a basis S0, listed first and kept as the span's
-    ``generators``; the identity, when requested, is orthonormalized
-    against S0 into the next basis row. The span is the algebra they
-    generate: every word in S0 is a shorter word times one element of S0,
-    and the unit's products are already in the span. So each round
-    multiplies only the previous round's new directions (S0 in the first)
-    by S0 on the right, in (new direction, seed) order, and appends what is
-    new; a round that adds nothing ends the closure. The unit row is never
-    a left factor, so with s seeds in S0 a span of dimension n with a unit
-    row costs (n - 1) * s products in all. The result is reproducible for a
-    fixed input order.
+    orthonormalized into a basis S0, listed first; the identity, when
+    requested, is orthonormalized against S0 into the next basis row
+    ``U = (1 - sum_i c_i S_i) / nu``. Both share one cut, ``rtol`` times the
+    largest seed or identity norm. The span is the algebra they generate:
+    every word in S0 is a shorter word times one element of S0, and the
+    identity's products are already in the span. So the factors are S0,
+    kept as the span's ``generators``: each round multiplies the previous
+    round's new directions (the seed rows and U in the first) by the factors
+    on the right, in (new direction, factor) order, and appends what is new;
+    a round that adds nothing ends the closure. U stands in for the identity
+    only up to its seed part: a product ``N U`` is left up to ``|c|_1 / nu``
+    times the residuals of the ``N S_i``. So when ``|c|_1 > nu`` U is a
+    factor (and a generator) as well. With s factors, a span of dimension n
+    costs n * s products. The result is reproducible for a fixed input order.
 
-    Every product N S of a basis direction other than the unit row with a
-    seed is formed in exactly one round. It is kept, or dropped with a
-    residual at most the round's cut, ``rtol`` times its largest candidate
-    (at most ``rtol``, as ``|N S|_HS <= |N|_HS |S|_op <= 1``), and the basis
-    only grows. The unit row is ``(1 - sum_i c_i S_i) / nu``, so its
-    products with the seeds are left at most ``|c|_1 / nu`` times that. The
-    largest cut, raised by that factor when it exceeds 1, bounds
-    :meth:`OperatorSpan.closure_residual` and is recorded as the span's
-    ``closure_cut``.
+    Every product of a basis row with a factor is formed in exactly one
+    round. It is kept, or dropped with a residual at most the round's cut,
+    ``rtol`` times its largest candidate (at most ``rtol``, as
+    ``|N S|_HS <= |N|_HS |S|_op <= 1``), and the basis only grows. The
+    largest cut therefore bounds :meth:`OperatorSpan.closure_residual` (and
+    the residuals of the ``N U`` as well when U is no factor, as then
+    ``|c|_1 <= nu``); it is recorded as the span's ``closure_cut``.
 
     Raises
     ------
@@ -348,32 +349,36 @@ def span_closure(
         raise ValueError("ambient_dim is required when no generators are given")
 
     seeds = [m.ravel() for m in mats] + [dagger(m).ravel() for m in mats]
-    basis = new = orthonormalize_rows(seeds, rtol=rtol).reshape(-1, D * D)
-    S0, lever = basis.reshape(-1, D, D), 1.0
+    # the seeds and the unit share one cut: rtol times the largest of them
+    top = max((np.linalg.norm(v) for v in seeds), default=0.0)
+    peak = max(top, np.sqrt(D)) if include_unit else top
+    basis = factors = orthonormalize_rows(
+        seeds, rtol=rtol * peak / top if top else rtol).reshape(-1, D * D)
     if include_unit:
         eye = np.eye(D, dtype=complex).ravel()
-        unit = orthonormalize_rows([eye], against=basis, rtol=rtol)
-        if unit.shape[0]:
-            # <unit row, 1> = nu, and c = S0 coordinates of 1
-            lever = max(lever, np.abs(basis.conj() @ eye).sum() / (unit[0] @ eye).real)
+        unit = orthonormalize_rows([eye], against=basis, rtol=rtol * peak / np.sqrt(D))
         basis = np.vstack([basis, unit])
+        # c = <S_i, 1> and nu = <U, 1>
+        if unit.shape[0] and np.abs(factors.conj() @ eye).sum() > (unit[0] @ eye).real:
+            factors = basis
+    factors, new = factors.reshape(-1, D, D), basis
     if basis.shape[0] == 0:
         raise ValueError("empty span: no generators and include_unit=False")
 
     max_rounds = D * D if max_rounds is None else max_rounds
     cut = 0.0
     for _ in range(max_rounds):
-        prods = np.matmul(new.reshape(-1, 1, D, D), S0).reshape(-1, D * D)
+        prods = np.matmul(new.reshape(-1, 1, D, D), factors).reshape(-1, D * D)
         cut = max(cut, rtol * np.linalg.norm(prods, axis=1).max(initial=0.0))
         new = orthonormalize_rows(prods, against=basis, rtol=rtol)
         if new.shape[0] == 0:
-            span = OperatorSpan(basis.reshape(-1, D, D), rtol=rtol, generators=S0)
+            span = OperatorSpan(basis.reshape(-1, D, D), rtol=rtol, generators=factors)
             _, adj_resid = span.adjoint_coords()
             if adj_resid > CLOSURE_SLACK * rtol:
                 raise ClosureError(
                     f"closure is not adjoint-stable (residual {adj_resid:.3e})"
                 )
-            span._closure_cut = float(lever * cut)
+            span._closure_cut = float(cut)
             return span
         basis = np.vstack([basis, new])
     raise ClosureError(
@@ -390,8 +395,8 @@ def center(span: OperatorSpan, rtol: float | None = None) -> OperatorSpan:
     """Elements of the span commuting with the whole span.
 
     An element commutes with the span once it commutes with a generating
-    set: ``span.generators`` when the span has them (the non-unit seeds of
-    :func:`span_closure`; everything commutes with the unit), else the
+    set: ``span.generators`` when the span has them (the factors of
+    :func:`span_closure`; everything commutes with the identity), else the
     basis. Solved on coefficient space: the null space of the positive
     semidefinite Gram matrix of the commutator map ``x -> [x, S]``,
     accumulated one generator S at a time; with no generators the map is

@@ -423,6 +423,21 @@ def test_both_routes_agree_on_hecke_algebras(N):
         assert rep.gns_dim == span.dim - rep.null_dim
 
 
+def test_both_routes_on_a_generator_a_hair_off_the_unit():
+    # g = 1 + 1e-6 diag(0, 1, 2, 3) generates the diagonal algebra, whose
+    # unit row is almost all of g's seed part: the closure must multiply by
+    # it, and the restriction of a vector state is its diagonal
+    g = np.eye(4) + 1e-6 * np.diag([0.0, 1.0, 2.0, 3.0])
+    span = span_closure([g], include_unit=True)
+    assert span.dim == 4
+    rng = np.random.default_rng(795)
+    psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi /= np.linalg.norm(psi)
+    rep = restriction_entropy(span, AlgebraState(vector=psi), method="both")
+    assert rep.methods_agree
+    assert spectra_agree(rep.spectrum, np.abs(psi) ** 2, tol=1e-10)
+
+
 @pytest.mark.parametrize("name", ["frame", "hecke"])
 def test_gns_route_needs_no_structure_constants_on_closure_spans(monkeypatch, name):
     # the representation, the commutant and the closure check all come from

@@ -347,16 +347,37 @@ def test_wedderburn_ranges_are_read_only_isometries_onto_the_projections(preset_
 def test_closure_keeps_its_orthonormal_seeds_as_generators():
     gens = bf.hecke_generators(4, 1.7)
     span = span_closure(gens, include_unit=True)
-    # three symmetric generators (their adjoints add nothing); the unit,
-    # orthonormalized against them, is the next basis row and no generator
+    # three symmetric generators (their adjoints add nothing) and the unit
     S = span.generators
-    assert S.shape == (3, 16, 16)
-    assert np.abs(S.reshape(3, -1).conj() @ S.reshape(3, -1).T - np.eye(3)).max() < 1e-12
-    assert np.array_equal(S, span.basis[:3])
-    rest = np.eye(16) - np.tensordot(np.trace(S, axis1=1, axis2=2).conj(), S, axes=(0, 0))
-    assert np.abs(span.basis[3] - rest / np.linalg.norm(rest)).max() < 1e-12
+    assert S.shape == (4, 16, 16)
+    assert np.abs(S.reshape(4, -1).conj() @ S.reshape(4, -1).T - np.eye(4)).max() < 1e-12
+    assert np.array_equal(S, span.basis[:4])
     assert not S.flags.writeable
     assert OperatorSpan(span.basis).generators is None
+
+
+def unit_row(S):
+    """(1 - sum_i c_i S_i) / nu for orthonormal S, with c_i = <S_i, 1>, and |c|_1 / nu."""
+    c = np.trace(S, axis1=1, axis2=2).conj()
+    rest = np.eye(S.shape[1]) - np.tensordot(c, S, axes=(0, 0))
+    nu = np.linalg.norm(rest)
+    return rest / nu, np.abs(c).sum() / nu
+
+
+def test_the_unit_row_is_a_factor_only_when_its_seed_part_outweighs_it():
+    # a tensor frame's seeds carry little trace: the unit row follows them
+    # in the basis but is no generator
+    span = tensor_frame_span(3, 4)
+    S = span.generators
+    U, lever = unit_row(S)
+    assert S.shape == (2, 12, 12) and lever < 1
+    assert np.array_equal(S, span.basis[:2])
+    assert np.abs(span.basis[2] - U).max() < 1e-12
+    # the Hecke seeds carry a large one: the unit row is the last generator
+    span = span_closure(bf.hecke_generators(4, 1.7), include_unit=True)
+    U, lever = unit_row(span.generators[:3])
+    assert lever > 1
+    assert np.abs(span.generators[3] - U).max() < 1e-12
 
 
 def test_span_rejects_generators_of_another_shape():
@@ -394,10 +415,8 @@ def test_closure_certificate_bounds_the_measured_residual(presets, kind, arg):
     span = oracle_span(presets, kind, arg)
     assert span.closure_cut is not None
     assert span.closure_residual() <= span.closure_cut
-    # commuting with the seeds alone finds the center of the whole span; at
-    # N = 6 the seeds and the unit row stand in for the slow all-basis oracle
-    seeds_and_unit = span.basis[: len(span.generators) + 1]
-    oracle = OperatorSpan(span.basis, generators=seeds_and_unit if arg == 6 else None)
+    # commuting with the factors alone finds the center of the whole span
+    oracle = OperatorSpan(span.basis)
     got, want = center(span), center(oracle)
     assert got.dim == want.dim
     flat = span.basis.reshape(span.dim, -1).conj().T
@@ -406,14 +425,37 @@ def test_closure_certificate_bounds_the_measured_residual(presets, kind, arg):
     assert sorted(wedderburn(span).block_table()) == sorted(wedderburn(oracle).block_table())
 
 
-def test_the_certificate_covers_the_unit_rows_products():
-    # g nearly is the unit: at rtol 0.01 the closure stops at span{g, 1} and
-    # drops g^2. The unit row (1 - c S_0) / nu then leaves its product with
-    # S_0 |c| / nu times g^2's residual, above the cut of any round.
+def test_the_closure_multiplies_by_the_unit_row_when_g_nearly_is_the_unit():
+    # at rtol 0.01 g^2 is dropped at residual 0.0037, under the cut, but the
+    # unit row (1 - c S_0) / nu leaves its product with S_0 |c| / nu = 10
+    # times that: the closure forms U S_0 and keeps it, and closes to the
+    # diagonal algebra
     g = np.diag([1.0, 1.1, 1.2, 1.3]).astype(complex)
     span = span_closure([g], include_unit=True, rtol=0.01)
-    assert span.dim == 2
-    assert 0.01 < span.closure_residual() <= span.closure_cut
+    assert span.dim == 4
+    assert len(span.generators) == 2
+    assert span.closure_residual() <= span.closure_cut <= 0.01
+    assert OperatorSpan(span.basis).closure_residual() <= 1e-12
+
+
+def near_identity_generators(seed):
+    rng = np.random.default_rng(seed)
+    D, k = int(rng.integers(2, 6)), int(rng.integers(1, 3))
+    rtol, eps = 10 ** rng.uniform(-5, -2), 10 ** rng.uniform(-4, 0)
+    return [np.eye(D) + eps * (rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D)))
+            for _ in range(k)], rtol
+
+
+@pytest.mark.parametrize("seed, dim", [(54, 9), (675, 16), (966, 25), (2568, 9)])
+def test_near_identity_closures_are_closed_under_every_product(seed, dim):
+    # left without the unit row's products these gave a span a product
+    # of two basis elements left hundreds of rtol outside, or no span
+    gens, rtol = near_identity_generators(seed)
+    span = span_closure(gens, include_unit=True, rtol=rtol)
+    assert span.dim == dim
+    assert unit_row(span.generators[:-1])[1] > 1
+    assert span.closure_residual() <= span.closure_cut <= rtol
+    assert OperatorSpan(span.basis).closure_residual() <= rtol
 
 
 def test_a_hand_built_span_carries_no_certificate():
@@ -433,8 +475,8 @@ def test_restriction_entropy_on_a_closure_forms_no_products(monkeypatch, kind, a
     assert report.methods_agree
 
 
-@pytest.mark.parametrize("kind, arg, n, s", [("frame", (4, 6), 16, 2), ("hecke", 4, 14, 3)])
-def test_closure_forms_one_product_per_seed_and_non_unit_row(monkeypatch, kind, arg, n, s):
+@pytest.mark.parametrize("kind, arg, n, s", [("frame", (4, 6), 16, 2), ("hecke", 4, 14, 4)])
+def test_closure_forms_one_product_per_factor_and_basis_row(monkeypatch, kind, arg, n, s):
     calls = []
 
     def counted(rows, against=None, rtol=None):
@@ -444,11 +486,12 @@ def test_closure_forms_one_product_per_seed_and_non_unit_row(monkeypatch, kind, 
     monkeypatch.setattr(star_algebra, "orthonormalize_rows", counted)
     span = oracle_span(None, kind, arg)
     assert (span.dim, len(span.generators)) == (n, s)
-    # the seeds and their adjoints, the unit, then one call per round
-    _, unit_rows, *rounds = calls
-    assert unit_rows == 1
-    assert rounds[0] == s * s
-    assert sum(rounds) == (n - 1) * s
+    # the seeds and their adjoints, the unit, then one call per round, the
+    # first on the seed rows and the unit row
+    seeds, unit_rows, *rounds = calls
+    assert (seeds, unit_rows) == (2 if kind == "frame" else 6, 1)
+    assert rounds[0] == ((s + 1) * s if kind == "frame" else s * s)
+    assert sum(rounds) == n * s
 
 
 def test_a_closure_coarser_than_the_solve_runs_the_product_check(monkeypatch):
@@ -471,7 +514,7 @@ def test_a_closure_coarser_than_the_solve_runs_the_product_check(monkeypatch):
 def test_hecke_block_tables_match_quantum_schur_weyl(N, table):
     span = span_closure(bf.hecke_generators(N, 1.7), include_unit=True)
     assert span.dim == sum(n * n for n, _ in table)
-    assert len(span.generators) == N - 1
+    assert len(span.generators) == N
     data = wedderburn(span)
     assert sorted(data.block_table()) == sorted(table)
     assert center(span).dim == len(table)
