@@ -38,6 +38,7 @@ from .entropy import (
 from .errors import AlgebraError
 from .fock import PAULI, example_generators, f_basis_embedding
 from .gns import AlgebraState, gram_matrix
+from .linalg import as_int
 from .star_algebra import span_closure, wedderburn
 
 EXIT_OK = 0
@@ -101,8 +102,10 @@ def load_scenario(path) -> dict:
     return spec
 
 
-def _tolerance(value) -> float:
-    """A relative tolerance, which must be finite and non-negative."""
+def _tolerance(value) -> float | None:
+    """A relative tolerance, which must be finite and non-negative, or None."""
+    if value is None:
+        return None
     tol = float(value)
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
@@ -124,16 +127,14 @@ def build_scenario(spec: dict):
     given = [k for k in ("vector", "density", "parameters") if k in state_spec]
     if len(given) != 1:
         raise ValueError("state must have exactly one of 'vector', 'density', 'parameters'")
-    rtol = spec.get("tolerance")
-    if rtol is not None:
-        rtol = _tolerance(rtol)
+    rtol = _tolerance(spec.get("tolerance"))
 
     if has_preset:
         name = algebra["preset"]
         span, family = example_generators(name)
         dim = family.ambient_dim
         declared = spec.get("ambient_dim")
-        if declared is not None and int(declared) != dim:
+        if declared is not None and as_int(declared, "ambient_dim") != dim:
             raise ValueError(
                 f"preset {name} lives on dimension {dim}, not {declared}"
             )
@@ -146,7 +147,7 @@ def build_scenario(spec: dict):
         dim = spec.get("ambient_dim")
         if dim is None:
             raise ValueError("scenario with explicit generators needs 'ambient_dim'")
-        dim = int(dim)
+        dim = as_int(dim, "ambient_dim")
         gens = [
             parse_matrix(g, dim, f"algebra.generators[{i}]")
             for i, g in enumerate(algebra["generators"])
@@ -167,7 +168,7 @@ def build_scenario(spec: dict):
         raise ValueError(f"unknown method {method!r}; choose one of {METHODS}")
     meta.update(
         method=method,
-        seed=int(spec.get("seed", 0)),
+        seed=as_int(spec.get("seed", 0), "seed"),
         rtol=rtol,
         log_base=str(spec.get("log_base", "e")),
     )
@@ -279,8 +280,7 @@ def grid_rows(resolution: int, extent: float = 2.0, method: str = "both",
         raise ValueError("resolution must be at least 2")
     if not np.isfinite(extent):
         raise ValueError(f"extent must be finite, got {extent!r}")
-    if rtol is not None:
-        rtol = _tolerance(rtol)
+    rtol = _tolerance(rtol)
     span, family = example_generators("ex5_bosons")
     axis = np.linspace(-extent, extent, resolution)
     points = [(float(x), float(y)) for x in axis for y in axis]

@@ -44,6 +44,7 @@ from .linalg import (
     PSD_TOL,
     RESULT_TOL,
     STACK_BUDGET,
+    above_cut,
     chunks,
     dagger,
     hermitize,
@@ -141,11 +142,11 @@ class DensityElement:
     blocks: WedderburnData
 
     def spectrum(self, tol: float = DEFAULT_RTOL) -> np.ndarray:
-        """All block eigenvalues above ``tol``, descending."""
+        """Block eigenvalues above the cut at ``tol`` (scale 1), descending."""
         if not self.block_spectra:
             return np.zeros(0)
         w = np.concatenate(self.block_spectra)
-        return np.sort(w[w > tol])[::-1]
+        return np.sort(w[above_cut(w, 1.0, tol, w.size, "square")])[::-1]
 
 
 def density_element(

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .gns import AlgebraState
-from .linalg import UNITARY_TOL, as_square, hs_norm
+from .linalg import UNITARY_TOL, as_int, as_square, hs_norm
 from .star_algebra import OperatorSpan, full_matrix_algebra, span_closure
 
 MAX_MODES = 12
@@ -93,7 +93,7 @@ def car_ladders(d: int) -> LadderSet:
     {0, ..., d}. This is the package's only use of scipy, so the first call
     imports ``scipy.sparse`` and ``import gnsentropy`` needs numpy alone.
     """
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or not 1 <= d <= MAX_MODES:
+    if not 1 <= as_int(d, "mode count") <= MAX_MODES:
         raise ValueError(f"mode count must be an integer in [1, {MAX_MODES}], got {d!r}")
     from scipy.sparse import csr_matrix
 
@@ -139,11 +139,8 @@ class FockContext:
 
     def __init__(self, single_particle_dim: int, statistics: str = "fermionic",
                  particles: int = 2):
-        for name, value in (("single_particle_dim", single_particle_dim),
-                            ("particles", particles)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        d, k = int(single_particle_dim), int(particles)
+        d = as_int(single_particle_dim, "single_particle_dim")
+        k = as_int(particles, "particles")
         if statistics not in ("fermionic", "bosonic"):
             raise ValueError(f"unknown statistics {statistics!r}")
         if d < 1 or k < 1:

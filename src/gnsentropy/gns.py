@@ -10,32 +10,24 @@ the state. For ``omega = trace(L L^dag .)`` the class of ``X`` is ``X L``,
 so the quotient is the cyclic subspace spanned by the ``B_a L`` in
 C^(D x k) and ``pi(B_a)`` is ``B_a (x) 1_k`` restricted to it: the
 representation comes from products with the state's factor, and the span's
-structure constants are never expanded. The span must be an algebra: a span
-from :func:`gnsentropy.star_algebra.span_closure` carries the cut it closed
-at, which bounds its closure residual, so that check forms no product; any
-other span is multiplied by its generators (else its basis) to measure it.
+structure constants are never expanded. The span must be an algebra, which
+a span from :func:`gnsentropy.star_algebra.span_closure` certifies itself.
 
 The quotient representation is then split into isotypic components: the
 ranges of the minimal projections of the center of the commutant of the
 representation, each carried as orthonormal columns. The GNS triple fixes
-that commutant: an operator T commuting with the representation is
-determined by u = T xi (xi the cyclic vector), since T pi(Y) xi = pi(Y) u,
-and a vector u gives such an operator exactly when pi(X) u = 0 for every
-null X. So the commutant is read off the representation matrices and the
-null and quotient coordinates, inside the r-dimensional quotient, with no
-Kronecker solve, no products with the span's basis and no data from the
-block route. The map u -> T_u has norm at least 1, so the operators of
-orthonormal allowed u are independent and one QR orthonormalizes them,
-with no rank cut. Its center is its intersection with the span of the
-representation (its own bicommutant), found from principal angles with no
-commutators. A component's multiplicity m is read off a trace, as the
-square root of the dimension of the commutant's corner, and its irrep
-dimension is its rank over m: the block route reads its blocks with the
-same :func:`gnsentropy.star_algebra.read_blocks`, applied to its own
-algebra. A component's weight is |V^dag xi|^2 for its range V, and it
-spreads over m Schmidt directions: the refined weights are the spectrum of
-the cyclic vector's state on that corner, its rank-one projector projected
-onto the commutant and compressed to the component, with no random draws.
+that commutant: T commuting with the representation is determined by
+u = T xi (xi the cyclic vector), since T pi(Y) xi = pi(Y) u, and u gives
+such a T exactly when pi(X) u = 0 for every null X. So the commutant is
+read off inside the r-dimensional quotient, with no Kronecker solve, no
+products with the span's basis and no data from the block route; its
+center is its intersection with the span of the representation (its own
+bicommutant), found from principal angles. Multiplicities and irrep
+dimensions are read off traces by the same
+:func:`gnsentropy.star_algebra.read_blocks` as the block route's, and a
+component's weight |V^dag xi|^2 (V its range) spreads over its m Schmidt
+directions as the spectrum of the cyclic vector's state on the commutant's
+corner, with no random draws.
 
 Every stage takes a list of states or spaces and runs stacked: one SVD,
 eigensolve or matrix product per group of items of one shape. A rank cut
@@ -54,15 +46,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ClosureError, DecompositionError, StateError
+from .errors import DecompositionError, StateError
 from .linalg import (
-    CLOSURE_SLACK,
     CLUSTER_TOL,
     DEFAULT_RTOL,
     INPUT_TOL,
-    NULL_FLOOR,
     PSD_TOL,
     RESULT_TOL,
+    above_cut,
     chunks,
     dagger,
     eigh_null_split,
@@ -74,7 +65,7 @@ from .linalg import (
     stack,
     take,
 )
-from .star_algebra import OperatorSpan, read_blocks
+from .star_algebra import OperatorSpan, check_residual, read_blocks
 
 
 class AlgebraState:
@@ -258,12 +249,11 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     E: ``rep_matrices[a] = E^dag (B_a (x) 1_k) E`` and the cyclic vector is
     ``E^dag vec(L)``, with no structure constants. The span must be
     multiplicatively closed. A span from
-    :func:`gnsentropy.star_algebra.span_closure` certified that itself
-    (:attr:`OperatorSpan.closure_cut`), and no product is formed when that
-    certificate is within ``CLOSURE_SLACK * rtol``; otherwise
-    :meth:`OperatorSpan.closure_residual` checks it from the products of the
-    basis with the generators. This is the
-    batch of one of the stacked construction that
+    :func:`gnsentropy.star_algebra.span_closure` certified that itself, and
+    no product is formed when its :attr:`OperatorSpan.closure_cut` lies
+    within the residual cut at ``rtol``; otherwise
+    :meth:`OperatorSpan.closure_residual` measures it. This is the batch of
+    one of the stacked construction that
     :func:`gnsentropy.entropy.restriction_entropies` runs over many states.
     """
     rtol = span.rtol if rtol is None else rtol
@@ -271,19 +261,12 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
 
 
 def _check_closure(span: OperatorSpan, rtol: float) -> None:
-    cut = CLOSURE_SLACK * rtol
-    if span.closure_cut is not None and span.closure_cut <= cut:
-        return
-    resid = span.closure_residual()
-    if resid <= cut:
-        return
-    factors = (f"its {len(span.generators)} generators" if span.generators is not None
-               else f"its {span.dim} basis elements")
-    raise ClosureError(
-        f"span is not multiplicatively closed: the products of its basis with "
-        f"{factors} leave residual {resid:.3e} above the cut {cut:.3e} "
-        "(CLOSURE_SLACK * rtol); GNS needs an algebra"
-    )
+    certified = span.closure_cut
+    if certified is None or above_cut(certified, 1.0, rtol, span.dim, "residual"):
+        factors = (f"its {len(span.generators)} generators" if span.generators is not None
+                   else f"its {span.dim} basis elements")
+        check_residual(span, span.closure_residual(), rtol, "span is not multiplicatively "
+                       f"closed, as GNS needs: the products of its basis with {factors}")
 
 
 def _build_gns(span: OperatorSpan, states: list, rtol: float) -> list:
@@ -304,7 +287,8 @@ def _build_gns(span: OperatorSpan, states: list, rtol: float) -> list:
         _check_psd(G)
         u, s, vh = right_singular(V.swapaxes(1, 2), left=True)
         _check_closure(span, rtol)
-        n_keep = np.count_nonzero(s**2 > np.maximum(rtol * s[:, :1] ** 2, NULL_FLOOR), axis=1)
+        # cut as the Gram eigenvalues s^2
+        n_keep = above_cut(s**2, s[:, :1] ** 2, rtol, max(n, D * k), "square").sum(axis=1)
         for r, sub in regroup(n_keep):
             m = len(sub)
             vh_sub = take(vh, sub)
@@ -391,11 +375,8 @@ def _quotient_commutant(spaces: list, rtol: float) -> list:
         null = stack([spaces[i].null_coords for i in pos])
         quot = stack([spaces[i].quotient_coords for i in pos])
         s, vh = right_singular((null.swapaxes(1, 2) @ rep).reshape(len(pos), n_null * r, r))
-        # T_u xi = u, so u -> T_u has norm at least 1 and the cut is relative
-        # to 1 where the condition is smaller, e.g. pure roundoff or no rows;
-        # NULL_FLOOR keeps roundoff out of the rank at rtol = 0
-        cut = np.count_nonzero(
-            s**2 > np.maximum((rtol * np.maximum(1.0, s[:, :1])) ** 2, NULL_FLOOR), axis=1)
+        # T_u xi = u, so u -> T_u has norm at least 1: cut against max(1, s0)
+        cut = above_cut(s, np.maximum(1.0, s[:, :1]), rtol, max(n_null, 1) * r).sum(axis=1)
         # pi_x[j] = pi(X_j), and T_u[i, j] = (pi(X_j) u)_i
         pi_x = (quot.swapaxes(1, 2) @ rep).reshape(-1, r, r, r)
         for c, sub in regroup(cut):
@@ -538,7 +519,7 @@ def isotypic_decompose(
 
 
 def gns_density(iso: IsotypicDecomposition, tol: float = DEFAULT_RTOL):
-    """Spectrum of the restricted state: all refined weights above ``tol``.
+    """Spectrum of the restricted state: refined weights above the cut at ``tol``.
 
     Zero-weight entries are kept in the decomposition report but dropped
     here; what remains sums to 1 within tolerance.
@@ -546,5 +527,5 @@ def gns_density(iso: IsotypicDecomposition, tol: float = DEFAULT_RTOL):
     from .entropy import SpectralState
 
     w = iso.flattened_weights()
-    w = np.sort(w[w > tol])[::-1]
+    w = np.sort(w[above_cut(w, 1.0, tol, w.size, "square")])[::-1]
     return SpectralState(weights=w)

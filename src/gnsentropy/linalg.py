@@ -5,8 +5,10 @@ through the Hilbert-Schmidt inner product ``<X, Y> = trace(X^dag Y)``, so a
 matrix flattened row-major is just a vector in C^(D*D) and span arithmetic
 reduces to ordinary vector algebra.
 
-Rank and null-space decisions use a relative threshold: ``DEFAULT_RTOL``
-times the largest eigenvalue or singular value of the matrix being cut.
+Every rank, null-space and closure decision is :func:`above_cut`'s: a value
+counts above ``max(rtol, size * eps)`` times its caller's scale (by default
+``DEFAULT_RTOL`` times the largest eigenvalue, singular value or row norm)
+and above an absolute floor, so roundoff is no rank even at ``rtol = 0``.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ PSD_TOL = 1e-9
 #: that must be degenerate, the Hermitian defect of the density element.
 RESULT_TOL = 1e-8
 
-#: Absolute floor under the relative cut, so that identically-zero positive
-#: semidefinite matrices (scale ~ roundoff) classify as all-null.
+#: Absolute floor under the rank cut of squared values (its square root
+#: under other values), so that identically-zero matrices classify as
+#: all-null. Read by :func:`above_cut` alone.
 NULL_FLOOR = 1e-24
 
 #: A product or adjoint closure residual may exceed the rank cut by this
-#: factor before a span counts as not closed.
+#: factor before a span counts as not closed. Read by :func:`above_cut` alone.
 CLOSURE_SLACK = 1e3
 
 #: How far a dimension or multiplicity reading may sit from an integer.
@@ -94,6 +97,32 @@ def as_square(x, ambient_dim: int | None = None, name: str = "matrix") -> np.nda
     return a
 
 
+def above_cut(values, scale, rtol: float, size: int, kind: str = "norm"):
+    """Which ``values`` lie above the rank cut, as a mask of their shape (a
+    value on the cut does not count); the cut itself when ``values`` is None.
+
+    The cut is ``max(rtol, size * eps) * scale``, never below the roundoff
+    of a factorization ``size`` wide (numpy's ``matrix_rank`` rule), and at
+    least ``NULL_FLOOR`` on squares, its square root on other values.
+    ``scale`` is the caller's, in the unit of the values, and broadcasts
+    against them. ``kind`` names that unit: ``"norm"`` (singular values,
+    row norms, residuals), ``"square"`` (eigenvalues of a Gram or density
+    matrix) or ``"residual"`` (closure and adjoint residuals, which may
+    exceed the norm cut by ``CLOSURE_SLACK``).
+    """
+    cut = max(rtol, size * math.ulp(1.0)) * scale
+    cut = np.maximum(CLOSURE_SLACK * cut if kind == "residual" else cut,
+                     NULL_FLOOR if kind == "square" else math.sqrt(NULL_FLOOR))
+    return cut if values is None else values > cut
+
+
+def as_int(value, name: str) -> int:
+    """An integer input; a bool, a float or any other type raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def orthonormalize_rows(
     rows, against: np.ndarray | None = None, rtol: float | None = None
 ) -> np.ndarray:
@@ -103,20 +132,18 @@ def orthonormalize_rows(
     block that is fixed but not returned) by two matmul passes. Then, in
     input order, the first remaining row is normalized and kept, and every
     later row is projected off it twice ("twice is enough": Giraud, Langou
-    and Rozloznik, 2005). Rows whose residual falls to ``rtol`` times the
-    largest input norm or below are dropped.
+    and Rozloznik, 2005). Rows whose residual falls to the cut (against the
+    largest input norm, at the size of the input block) are dropped.
     """
     rtol = DEFAULT_RTOL if rtol is None else rtol
     rows = list(rows)
     width = np.size(rows[0]) if rows else (0 if against is None else against.shape[1])
     W = np.array(rows, dtype=complex).reshape(len(rows), width)
-    # relative cut against the largest candidate, so roundoff-sized rows
-    # never masquerade as new directions
-    cut = rtol * np.linalg.norm(W, axis=1).max(initial=0.0)
+    top, size = np.linalg.norm(W, axis=1).max(initial=0.0), max(W.shape)
     if against is not None:
         for _ in range(2):
             W -= (W @ against.conj().T) @ against
-    W = W[np.linalg.norm(W, axis=1) > cut]
+    W = W[above_cut(np.linalg.norm(W, axis=1), top, rtol, size)]
     kept = []
     while W.shape[0]:
         q = W[0] / np.linalg.norm(W[0])
@@ -124,7 +151,7 @@ def orthonormalize_rows(
         W = W[1:]
         for _ in range(2):
             W -= np.outer(W @ q.conj(), q)
-        W = W[np.linalg.norm(W, axis=1) > cut]
+        W = W[above_cut(np.linalg.norm(W, axis=1), top, rtol, size)]
     return np.array(kept, dtype=complex).reshape(len(kept), width)
 
 
@@ -154,14 +181,12 @@ def eigh_null_split(M: np.ndarray, rtol: float | None = None):
     """Eigendecompose a Hermitian PSD matrix and locate its null part.
 
     Returns ``(vals, vecs, n_null)`` with eigenvalues ascending; the first
-    ``n_null`` eigenpairs fall at or below the relative cut.
+    ``n_null`` eigenpairs fall at or below the cut against the largest.
     """
     rtol = DEFAULT_RTOL if rtol is None else rtol
     vals, vecs = np.linalg.eigh(hermitize(M))
-    scale = max(float(vals[-1]), 0.0) if vals.size else 0.0
-    cut = max(rtol * scale, NULL_FLOOR)
-    n_null = int(np.count_nonzero(vals <= cut))
-    return vals, vecs, n_null
+    keep = above_cut(vals, vals.max(initial=0.0), rtol, vals.size, "square")
+    return vals, vecs, vals.size - int(np.count_nonzero(keep))
 
 
 def right_singular(A: np.ndarray, left: bool = False):
@@ -184,14 +209,14 @@ def row_basis(A: np.ndarray, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal rows spanning the numerical row space of A, or of each
     matrix in a stack A (..., rows, cols): returns ``(vh, rank)``, the right
     singular vectors and how many lead rows of ``vh`` to keep, those whose
-    singular value exceeds ``rtol`` times the largest and whose square
-    exceeds ``NULL_FLOOR``. A wide A is factored through its tall transpose
-    (Chan's R-SVD): the same singular values, and LAPACK's QR-first path."""
+    singular value lies above the cut against the largest. A wide A is
+    factored through its tall transpose (Chan's R-SVD): the same singular
+    values, and LAPACK's QR-first path."""
     wide = A.shape[-2] < A.shape[-1]
     u, s, vh = np.linalg.svd(dagger(A) if wide else A, full_matrices=False)
     vh = dagger(u) if wide else vh
-    cut = np.maximum((rtol * s.max(axis=-1, initial=0.0, keepdims=True)) ** 2, NULL_FLOOR)
-    return vh, np.count_nonzero(s**2 > cut, axis=-1)
+    top = s.max(axis=-1, initial=0.0, keepdims=True)
+    return vh, np.count_nonzero(above_cut(s, top, rtol, max(A.shape[-2:])), axis=-1)
 
 
 def chunks(n: int, item_size: int, budget: int) -> list[slice]:

@@ -4,13 +4,12 @@ An :class:`OperatorSpan` stores an orthonormal basis (under the
 Hilbert-Schmidt pairing) of a subspace of D x D matrices, plus, when it
 came from :func:`span_closure`, the factors it was closed by (its seeds,
 and its unit row when that is needed) and the cut it closed at, a bound on
-its closure residual. The
-operations here close spans under products and adjoints, compute centers
-(commuting with the seeds, else with the basis) and commutants as null
-spaces of commutator maps, and split a unital *-closed span into its
-irreducible matrix blocks by jointly refining the eigenspaces of a
-Hermitian basis of the center, and reading each block's dimension off a
-trace.
+its closure residual. The operations here close spans under products and
+adjoints, compute centers (commuting with the seeds, else with the basis)
+and commutants as null spaces of commutator maps, and split a unital
+*-closed span into its irreducible matrix blocks by jointly refining the
+eigenspaces of a Hermitian basis of the center, and reading each block's
+dimension off a trace.
 
 Every function is pure and deterministic and makes no random draws; basis
 ordering is fixed by input order plus a deterministic enumeration of
@@ -26,9 +25,9 @@ import numpy as np
 
 from .errors import ClosureError, DecompositionError
 from .linalg import (
-    CLOSURE_SLACK,
     CLUSTER_TOL,
     DEFAULT_RTOL,
+    above_cut,
     as_square,
     check_int,
     check_square,
@@ -104,9 +103,7 @@ class OperatorSpan:
         Computed on first read of this, :attr:`has_unit` or :meth:`unit`.
         """
         eye = np.eye(self.ambient_dim)
-        coords = self.coords(eye)
-        inside = hs_norm(eye - self.reconstruct(coords)) <= self.rtol * hs_norm(eye)
-        return coords if inside else None
+        return self.coords(eye) if self.contains(eye) else None
 
     @property
     def closure_cut(self) -> float | None:
@@ -156,8 +153,7 @@ class OperatorSpan:
 
     def contains(self, X: np.ndarray, rtol: float | None = None) -> bool:
         rtol = self.rtol if rtol is None else rtol
-        scale = hs_norm(X)
-        return scale == 0.0 or self.residual(X) <= rtol * scale
+        return not above_cut(self.residual(X), hs_norm(X), rtol, self.ambient_dim**2)
 
     def unit(self) -> np.ndarray:
         if not self.has_unit:
@@ -203,15 +199,13 @@ class OperatorSpan:
     def closure_residual(self) -> float:
         """Largest HS norm left unexpanded by the products ``B_a S``.
 
-        S runs over the span's ``generators``: n*s products rather than n^2,
-        and none (residual 0) when s is 0. For a unital span that its
-        generators generate with the identity, ``span S`` inside the span
-        gives ``span S^j`` inside it for every j, hence ``span span`` inside
-        it. A span without generators falls back to its basis, and the value
-        is :meth:`structure_constants`' residual, read from its cache when it
-        is there. Cached like it. This is always the measured value; a span
-        from :func:`span_closure` also carries a bound on it,
-        :attr:`closure_cut`, that costs nothing to read.
+        S runs over the span's ``generators`` (n*s products, none when s is
+        0): for a unital span they generate with the identity, ``span S``
+        inside the span gives ``span S^j``, hence ``span span``, inside it.
+        Without generators S runs over the basis, and this is (and shares
+        the cache of) :meth:`structure_constants`' residual. Cached. It is
+        always measured; a span from :func:`span_closure` also carries a
+        bound, :attr:`closure_cut`, that costs nothing to read.
         """
         if self.generators is None:
             return self.structure_constants()[1]
@@ -247,7 +241,6 @@ class OperatorSpan:
 
     def validate(self, rtol: float | None = None) -> dict[str, float]:
         """Residuals of the span invariants, for tests and diagnostics."""
-        rtol = self.rtol if rtol is None else rtol
         n, D = self.dim, self.ambient_dim
         flat = self.basis.reshape(n, D * D)
         gram = flat.conj() @ flat.T
@@ -304,35 +297,31 @@ def span_closure(
 
     The seeds (the generators in input order, then their adjoints) are
     orthonormalized into a basis S0, listed first; the identity, when
-    requested, is orthonormalized against S0 into the next basis row
-    ``U = (1 - sum_i c_i S_i) / nu``. Both share one cut, ``rtol`` times the
-    largest seed or identity norm. The span is the algebra they generate:
-    every word in S0 is a shorter word times one element of S0, and the
-    identity's products are already in the span. So the factors are S0,
-    kept as the span's ``generators``: each round multiplies the previous
-    round's new directions (the seed rows and U in the first) by the factors
-    on the right, in (new direction, factor) order, and appends what is new;
-    a round that adds nothing ends the closure. U stands in for the identity
-    only up to its seed part: a product ``N U`` is left up to ``|c|_1 / nu``
-    times the residuals of the ``N S_i``. So when ``|c|_1 > nu`` U is a
-    factor (and a generator) as well. With s factors, a span of dimension n
-    costs n * s products. The result is reproducible for a fixed input order.
+    requested, is orthonormalized against S0, at the same cut, into the
+    next basis row ``U = (1 - sum_i c_i S_i) / nu``. Every word in S0 is a
+    shorter word times one element of S0, so the factors are S0, kept as
+    the span's ``generators``: each round multiplies the previous round's
+    new directions (the seed rows and U in the first) by the factors on the
+    right, in (new direction, factor) order, and appends what is new; a
+    round that adds nothing ends the closure. A product ``N U`` is left up
+    to ``|c|_1 / nu`` times the residuals of the ``N S_i``, so when
+    ``|c|_1 > nu`` U is a factor (and a generator) as well. With s factors,
+    a span of dimension n costs n * s products, reproducibly for a fixed
+    input order.
 
     Every product of a basis row with a factor is formed in exactly one
-    round. It is kept, or dropped with a residual at most the round's cut,
-    ``rtol`` times its largest candidate (at most ``rtol``, as
-    ``|N S|_HS <= |N|_HS |S|_op <= 1``), and the basis only grows. The
-    largest cut therefore bounds :meth:`OperatorSpan.closure_residual` (and
-    the residuals of the ``N U`` as well when U is no factor, as then
-    ``|c|_1 <= nu``); it is recorded as the span's ``closure_cut``.
+    round, and kept or dropped at the round's cut (:func:`above_cut` at its
+    largest candidate, whose norm is at most 1). The basis only grows, so
+    the largest cut bounds :meth:`OperatorSpan.closure_residual`, and the
+    ``N U`` residuals too when U is no factor; it is the ``closure_cut``.
 
     Raises
     ------
     ValueError
         Generators of mismatched dimension, or an empty non-unital span.
     ClosureError
-        The span kept growing after ``D*D`` enlargement rounds, which
-        signals numerical breakdown rather than a real algebra.
+        The span kept growing after ``D*D`` enlargement rounds (numerical
+        breakdown rather than a real algebra), or is not adjoint-stable.
     """
     rtol = DEFAULT_RTOL if rtol is None else rtol
     mats = [as_square(g, name=f"generators[{i}]") for i, g in enumerate(generators)]
@@ -366,24 +355,32 @@ def span_closure(
         raise ValueError("empty span: no generators and include_unit=False")
 
     max_rounds = D * D if max_rounds is None else max_rounds
-    cut = 0.0
+    closure_cut = cut = 0.0
     for _ in range(max_rounds):
         prods = np.matmul(new.reshape(-1, 1, D, D), factors).reshape(-1, D * D)
-        cut = max(cut, rtol * np.linalg.norm(prods, axis=1).max(initial=0.0))
+        # the cut orthonormalize_rows applies to this round's candidates
+        top = np.linalg.norm(prods, axis=1).max(initial=0.0)
+        cut = float(above_cut(None, top, rtol, max(prods.shape))) if len(prods) else 0.0
+        closure_cut = max(closure_cut, cut)
         new = orthonormalize_rows(prods, against=basis, rtol=rtol)
         if new.shape[0] == 0:
             span = OperatorSpan(basis.reshape(-1, D, D), rtol=rtol, generators=factors)
-            _, adj_resid = span.adjoint_coords()
-            if adj_resid > CLOSURE_SLACK * rtol:
-                raise ClosureError(
-                    f"closure is not adjoint-stable (residual {adj_resid:.3e})"
-                )
-            span._closure_cut = float(cut)
+            check_residual(span, span.adjoint_coords()[1], rtol,
+                           "closure is not adjoint-stable: the adjoints of its basis")
+            span._closure_cut = closure_cut
             return span
         basis = np.vstack([basis, new])
     raise ClosureError(
-        f"span did not stabilize within {max_rounds} enlargement rounds"
+        f"span did not stabilize within {max_rounds} enlargement rounds: the last "
+        f"round kept {new.shape[0]} rows above its cut {cut:.3e}"
     )
+
+
+def check_residual(span: OperatorSpan, resid: float, rtol: float, what: str) -> None:
+    """ClosureError, led by ``what``, unless a residual of the span is within the cut."""
+    if above_cut(resid, 1.0, rtol, span.dim, "residual"):
+        cut = above_cut(None, 1.0, rtol, span.dim, "residual")
+        raise ClosureError(f"{what} leave residual {resid:.3e} above the cut {cut:.3e}")
 
 
 def full_matrix_algebra(D: int, rtol: float | None = None) -> OperatorSpan:
@@ -466,6 +463,8 @@ def minimal_projections(commutatives: list, cluster_tol: float | None = None) ->
     falls short.
     """
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
+    if any(Z.dim == 0 for Z in commutatives):
+        raise DecompositionError("a center of dimension 0: the rank cut dropped its unit")
     out = [[np.eye(Z.ambient_dim, dtype=complex)] for Z in commutatives]
     herm = {}
     for (n, D, rtol), pos in regroup(
@@ -546,11 +545,8 @@ def wedderburn(
         return cached
     if not span.has_unit:
         raise ValueError("wedderburn requires a unital span")
-    _, adj_resid = span.adjoint_coords()
-    if adj_resid > CLOSURE_SLACK * rtol:
-        raise ClosureError(
-            f"wedderburn requires a *-closed span (adjoint residual {adj_resid:.3e})"
-        )
+    check_residual(span, span.adjoint_coords()[1], rtol,
+                   "wedderburn requires a *-closed span: the adjoints of its basis")
     Z = center(span, rtol=rtol)
     (blocks,) = read_blocks([span], [Z], cluster_tol, "block")
     blocks.sort(key=lambda b: (-b[0], -b[1]))

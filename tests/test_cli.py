@@ -10,6 +10,7 @@ from gnsentropy.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
+    build_scenario,
     grid_rows,
     main,
     parse_matrix,
@@ -19,6 +20,8 @@ from gnsentropy.cli import (
 )
 from gnsentropy.entropy import LN2, restriction_entropies
 from gnsentropy.fock import PRESET_NAMES, example_generators
+
+import bruteforce as bf
 
 
 def write_spec(tmp_path, name, spec):
@@ -504,22 +507,55 @@ def parse_output(command, out):
     return [rows[0]] + [[float(cell) if cell else cell for cell in row] for row in rows[1:]]
 
 
+def pairs(a):
+    return np.stack([np.real(a), np.imag(a)], axis=-1).tolist()
+
+
 @pytest.mark.parametrize("method", ["gns", "both"])
-@pytest.mark.parametrize("command", ["run", "sweep", "grid"])
+@pytest.mark.parametrize("command", ["run", "run-generators", "sweep", "grid"])
 def test_a_zero_tolerance_gives_the_default_values(tmp_path, capsys, command, method):
     # ex4_left and the boson grid hold singular values at roundoff that a
-    # relative cut of 0 alone would count as rank
+    # relative cut of 0 alone would count as rank, and closing explicit
+    # generators forms products at roundoff
     spec = write_spec(tmp_path, "s.json", {"algebra": {"preset": "ex4_left"},
                                            "state": {"parameters": {}}})
+    gen, psi, _ = bf.random_tensor_factor(np.random.default_rng(3), 2, 3)
+    frame = write_spec(tmp_path, "g.json", {"ambient_dim": 6,
+                                            "algebra": {"generators": [pairs(gen)]},
+                                            "state": {"vector": pairs(psi)}})
     argv = {"run": ["run", spec],
+            "run-generators": ["run", frame],
             "sweep": ["sweep", spec, "--param", "theta", "--from", "0", "--to", "1.5",
                       "--steps", "7"],
             "grid": ["grid", "--resolution", "3"]}[command] + ["--method", method]
     code, want, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    code, got, _ = run_cli(capsys, *argv, "--tol", "0")
-    assert code == EXIT_OK
-    assert_values_match(parse_output(command, got), parse_output(command, want), 1e-12)
+    code, got, err = run_cli(capsys, *argv, "--tol", "0")
+    assert code == EXIT_OK, err
+    kind = command.split("-")[0]
+    assert_values_match(parse_output(kind, got), parse_output(kind, want), 1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ambient_dim", 2.7), ("ambient_dim", True), ("ambient_dim", 6.0), ("ambient_dim", "6"),
+    ("seed", 1.9), ("seed", False), ("seed", 2.0),
+])
+@pytest.mark.parametrize("algebra", ["preset", "generators"])
+def test_a_non_integer_scenario_field_exits_2(tmp_path, capsys, algebra, field, value):
+    spec = {"algebra": {"preset": "ex4_left"}, "state": {"parameters": {}}, "ambient_dim": 6}
+    if algebra == "generators":
+        spec = {"algebra": {"generators": [pairs(np.diag([1.0, 2.0]))]}, "ambient_dim": 2,
+                "state": {"vector": [[1, 0], [0, 0]]}}
+    code, out, err = run_cli(capsys, "run", write_spec(tmp_path, "s.json", {**spec, field: value}))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert f"{field} must be an integer, got {value!r}" in err
+
+
+def test_numpy_integer_scenario_fields_are_accepted():
+    spec = {"algebra": {"generators": [pairs(np.diag([1.0, 2.0]))]},
+            "ambient_dim": np.int64(2), "state": {"vector": [[1, 0], [0, 0]]}, "seed": np.int32(7)}
+    _, _, meta = build_scenario(spec)
+    assert meta["seed"] == 7 and type(meta["seed"]) is int
 
 
 GOLDEN_RUNS = Path(__file__).parent / "golden" / "run_presets.json"

@@ -1,15 +1,21 @@
+import ast
 import inspect
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gnsentropy import AlgebraState, DecompositionError, full_matrix_algebra, restriction_entropy
-from gnsentropy import linalg
+from gnsentropy import center, linalg, span_closure
 from gnsentropy.fock import example_generators
 from gnsentropy.linalg import (
+    DEFAULT_RTOL,
     INTEGER_TOL,
     NULL_FLOOR,
+    above_cut,
     check_int,
+    eigh_null_split,
     check_square,
     orthonormalize_rows,
     right_singular,
@@ -182,3 +188,99 @@ def test_bad_readings_are_decomposition_errors_with_plain_floats(value, reason):
 def test_a_non_square_reading_is_a_decomposition_error():
     with pytest.raises(DecompositionError, match=r"^reading = 2\.0 is not a perfect square$"):
         check_square(np.float64(2.0), "reading")
+
+
+def test_an_all_roundoff_psd_matrix_is_null_at_rtol_0():
+    K = 1e-16 * cgauss(np.random.default_rng(11), 5, 36)
+    _, _, n_null = eigh_null_split(K @ K.conj().T, rtol=0.0)
+    assert n_null == 5
+    # the commutator Gram matrix of a commutative span is such a matrix
+    q = np.linalg.qr(cgauss(np.random.default_rng(12), 3, 3))[0]
+    span = span_closure([q @ np.diag([1.0, 2.0, 3.0]) @ q.conj().T], include_unit=True, rtol=0.0)
+    assert span.dim == 3 and center(span, rtol=0.0).dim == 3
+
+
+def test_roundoff_relative_to_a_large_scale_is_not_rank_at_rtol_0():
+    # singular values at eps times a scale of 1e6 sit far above the
+    # absolute floor, but not above size * eps times the largest
+    rng = np.random.default_rng(13)
+    A = 1e6 * cgauss(rng, 6, 2) @ cgauss(rng, 2, 6)
+    assert row_basis(A, 0.0)[1] == 2
+    assert np.linalg.matrix_rank(A) == 2
+
+
+def test_cut_counts_per_item_of_a_stack():
+    values = np.array([[1.0, 1e-9, 1e-11, 0.0],
+                       [1e-3, 1e-12, 5e-13, 1e-14],
+                       [0.0, 0.0, 0.0, 0.0]])
+    scale = values.max(axis=-1, keepdims=True)
+    keep = above_cut(values, scale, DEFAULT_RTOL, 4)
+    assert keep.shape == values.shape
+    assert np.count_nonzero(keep, axis=-1).tolist() == [2, 1, 0]
+
+
+def test_values_on_the_cut_are_dropped():
+    cut = above_cut(None, 2.0, 0.25, 1)
+    assert cut == 0.5
+    assert above_cut(np.array([cut, np.nextafter(cut, 1.0)]), 2.0, 0.25, 1).tolist() == [False, True]
+    # the floors: NULL_FLOOR on squares, its square root on other values
+    for kind, floor in (("square", NULL_FLOOR), ("norm", np.sqrt(NULL_FLOOR))):
+        assert above_cut(None, 0.0, 0.0, 4, kind) == floor
+        assert above_cut(np.array([floor, 2 * floor]), 0.0, 0.0, 4, kind).tolist() == [False, True]
+    # a residual may exceed the norm cut by CLOSURE_SLACK
+    assert above_cut(None, 1.0, 1e-10, 4, "residual") == pytest.approx(1e-7, rel=1e-15)
+    # nor below numpy's matrix_rank rule, size * eps times the scale
+    assert above_cut(None, 1e6, 0.0, 36) == 36 * np.finfo(float).eps * 1e6
+
+
+def graded_stack(rng, count, rows, cols, low):
+    """A stack whose items have singular values spread log-uniformly from 10^low to 10."""
+    s = 10.0 ** rng.uniform(low, 1.0, (count, min(rows, cols)))
+    u = np.linalg.qr(cgauss(rng, count, rows, rows))[0][..., : s.shape[1]]
+    v = np.linalg.qr(cgauss(rng, count, cols, cols))[0][..., : s.shape[1]]
+    return (u * s[:, None]) @ v.conj().swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("rows, cols", [(12, 7), (6, 30), (9, 9)])
+def test_default_counts_match_the_formulas_they_replace(rows, cols):
+    rng, rtol = np.random.default_rng(rows * cols), DEFAULT_RTOL
+    A = graded_stack(rng, 200, rows, cols, -16.0)
+    s = np.linalg.svd(A, compute_uv=False)
+    s0, size = s[:, :1], max(rows, cols)
+    count = lambda keep: np.count_nonzero(keep, axis=-1).tolist()
+    # row_basis
+    assert count(above_cut(s, s0, rtol, size)) == count(s**2 > np.maximum((rtol * s0) ** 2, NULL_FLOOR))
+    assert row_basis(A, rtol)[1].tolist() == count(s**2 > np.maximum((rtol * s0) ** 2, NULL_FLOOR))
+    # the GNS null split, on the Gram eigenvalues s^2
+    assert (count(above_cut(s**2, s0**2, rtol, size, "square"))
+            == count(s**2 > np.maximum(rtol * s0**2, NULL_FLOOR)))
+    # the allowed u of the GNS commutant, against max(1, s0)
+    one = np.maximum(1.0, s0)
+    assert count(above_cut(s, one, rtol, size)) == count(s**2 > np.maximum((rtol * one) ** 2, NULL_FLOOR))
+    # Gram-Schmidt row norms against the largest, which had no floor
+    norms = s / s0
+    assert count(above_cut(norms, 1.0, rtol, size)) == count(norms > rtol)
+    # eigh_null_split on a PSD stack
+    for M in (A @ A.conj().swapaxes(1, 2))[:50]:
+        vals = np.linalg.eigvalsh(M)
+        want = np.count_nonzero(vals <= max(rtol * max(vals[-1], 0.0), NULL_FLOOR))
+        assert eigh_null_split(M, rtol)[2] == want
+
+
+def test_no_cut_bypasses_above_cut():
+    # NULL_FLOOR and CLOSURE_SLACK are read inside above_cut alone, apart
+    # from the lines that define them
+    src = Path(linalg.__file__).parent
+    allowed = set()
+    for node in ast.parse((src / "linalg.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "above_cut":
+            allowed |= set(range(node.lineno, node.end_lineno + 1))
+        elif isinstance(node, ast.Assign) and node.targets[0].id in ("NULL_FLOOR", "CLOSURE_SLACK"):
+            allowed.add(node.lineno)
+    assert len(allowed) > 2
+    hits = [f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"NULL_FLOOR|CLOSURE_SLACK", line)
+            and not (path.name == "linalg.py" and i in allowed)]
+    assert not hits

@@ -458,6 +458,27 @@ def test_near_identity_closures_are_closed_under_every_product(seed, dim):
     assert OperatorSpan(span.basis).closure_residual() <= rtol
 
 
+ZERO_TOL_FRAMES = [(3, 2)] + [(680 + 3 * k, k) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1e-16])
+@pytest.mark.parametrize("seed, k", ZERO_TOL_FRAMES)
+def test_a_zero_tolerance_closes_explicit_generators(seed, k, rtol):
+    # the closure cuts its products at the roundoff of their block, so an
+    # rtol of 0 no longer keeps roundoff rows until the rounds run out
+    gen, psi, weights = bf.random_tensor_factor(np.random.default_rng(seed), k, 3)
+    state = AlgebraState(vector=psi)
+    want = restriction_entropy(span_closure([gen], include_unit=True), state, method="both")
+    span = span_closure([gen], include_unit=True, rtol=rtol)
+    assert span.dim == k * k
+    assert span.closure_residual() <= span.closure_cut
+    got = restriction_entropy(span, state, method="both", rtol=rtol)
+    assert got.methods_agree
+    assert abs(got.entropy_nats - want.entropy_nats) <= 1e-12
+    assert abs(got.entropy_nats - bf.entropy_of(weights)) <= 1e-12
+    assert np.abs(got.spectrum - want.spectrum).max() <= 1e-12
+
+
 def test_a_hand_built_span_carries_no_certificate():
     span = span_closure(bf.hecke_generators(4, 1.7), include_unit=True)
     again = OperatorSpan(span.basis, generators=span.generators)
@@ -773,6 +794,35 @@ def test_non_star_closed_span_fails_decomposition():
 def test_closure_breakdown_raises():
     with pytest.raises(ClosureError):
         span_closure([np.eye(2)], include_unit=True, max_rounds=0)
+
+
+def test_closure_errors_say_by_how_much_they_failed():
+    # the 3 x 3 Jordan block needs three rounds to close to M_3
+    J = np.diag([1.0, 1.0], 1)
+    assert span_closure([J], include_unit=True, max_rounds=3).dim == 9
+    with pytest.raises(ClosureError, match=re.escape(
+            "within 2 enlargement rounds: the last round kept 2 rows above its cut 7.071e-11")):
+        span_closure([J], include_unit=True, max_rounds=2)
+    # a near-identity pair whose closure is not adjoint-stable at its rtol
+    gens, rtol = near_identity_generators(1624)
+    with pytest.raises(ClosureError, match=r"not adjoint-stable: the adjoints of its basis "
+                       r"leave residual 7\.697e-01 above the cut 4\.657e-01"):
+        span_closure(gens, include_unit=True, rtol=rtol)
+    basis = np.array([np.eye(2, dtype=complex) / np.sqrt(2), unit(2, 0, 1)])
+    with pytest.raises(ClosureError, match=re.escape(
+            "requires a *-closed span: the adjoints of its basis leave residual 1.000e+00 "
+            "above the cut 1.000e-07")):
+        wedderburn(OperatorSpan(basis))
+
+
+def test_a_center_of_dimension_zero_says_so(monkeypatch):
+    with pytest.raises(DecompositionError, match="a center of dimension 0"):
+        minimal_projections([OperatorSpan(np.zeros((0, 3, 3)))])
+    span = span_closure([np.diag([1.0, 2.0])], include_unit=True)
+    monkeypatch.setattr(star_algebra, "center",
+                        lambda span, rtol: OperatorSpan(np.zeros((0, 2, 2))))
+    with pytest.raises(DecompositionError, match="a center of dimension 0"):
+        wedderburn(span)
 
 
 def test_block_separation_retries_exhaust_on_merged_clusters():
