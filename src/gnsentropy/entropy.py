@@ -42,6 +42,7 @@ from .linalg import (
     DEFAULT_RTOL,
     ORACLE_TOL,
     PSD_TOL,
+    PURITY_TOL,
     RESULT_TOL,
     STACK_BUDGET,
     above_cut,
@@ -53,9 +54,6 @@ from .linalg import (
 from .star_algebra import OperatorSpan, WedderburnData, wedderburn
 
 LN2 = float(np.log(2.0))
-
-#: A state counts as pure when its restriction entropy falls below this.
-PURITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -333,17 +331,18 @@ def _solve(span, states, method, seed, rtol, oracle_tol, blocks) -> list:
     if method in ("gns", "both"):
         spaces = _build_gns(span, states, rtol)
         isos = _isotypic(spaces, seed, rtol, CLUSTER_TOL)
-        spectra_gns = [gns_density(iso).weights for iso in isos]
+        spectra_gns = [gns_density(iso, rtol).weights for iso in isos]
     if method in ("wedderburn", "both"):
         if blocks is None:
             blocks = wedderburn(span, seed=seed, rtol=rtol)
         dens = _density_elements(span, blocks, states)
-    return [_report(method, seed, oracle_tol, *item)
+    return [_report(method, seed, rtol, oracle_tol, *item)
             for item in zip(spaces, isos, spectra_gns, dens)]
 
 
-def _report(method, seed, oracle_tol, gns_space, iso, spectrum_gns, dens) -> RestrictionReport:
-    spectrum_blocks = dens.spectrum() if dens is not None else None
+def _report(method, seed, rtol, oracle_tol, gns_space, iso, spectrum_gns,
+            dens) -> RestrictionReport:
+    spectrum_blocks = dens.spectrum(rtol) if dens is not None else None
     agree = None
     if method == "both":
         agree = spectra_agree(spectrum_gns, spectrum_blocks, tol=oracle_tol)

@@ -22,18 +22,18 @@ such a T exactly when pi(X) u = 0 for every null X. So the commutant is
 read off inside the r-dimensional quotient, with no Kronecker solve, no
 products with the span's basis and no data from the block route; its
 center is its intersection with the span of the representation (its own
-bicommutant), found from principal angles. Multiplicities and irrep
-dimensions are read off traces by the same
-:func:`gnsentropy.star_algebra.read_blocks` as the block route's, and a
-component's weight |V^dag xi|^2 (V its range) spreads over its m Schmidt
-directions as the spectrum of the cyclic vector's state on the commutant's
-corner, with no random draws.
+bicommutant), found from principal angles in the same pass, which stacks
+the triple once per shape. Multiplicities and irrep dimensions are read
+off traces by the same :func:`gnsentropy.star_algebra.read_blocks` as the
+block route's, and a component's weight |V^dag xi|^2 (V its range) spreads
+over its m Schmidt directions as the spectrum of the cyclic vector's state
+on the commutant's corner, with no random draws.
 
 Every stage takes a list of states or spaces and runs stacked: one SVD,
 eigensolve or matrix product per group of items of one shape. A rank cut
 counts per item and regroups the stack by that count, and a stage raises
-on the first check that fails. :func:`build_gns` and
-:func:`isotypic_decompose` are batches of one. The representation's
+on the first check that fails; a build checks its span's closure once.
+:func:`build_gns` and :func:`isotypic_decompose` are batches of one. The representation's
 products are streamed in chunks of the span's basis, so no intermediate
 holds more than the n*D^2 + n^3 numbers of the streamed structure
 constants per state.
@@ -130,9 +130,12 @@ class AlgebraState:
     @cached_property
     def factor(self) -> np.ndarray:
         """Low-rank factor L with backing = L L^dag (a column for vectors)."""
+        return self._cut_factor(self.rtol)
+
+    def _cut_factor(self, rtol: float) -> np.ndarray:
         if self.is_vector:
             return self.vector.reshape(-1, 1)
-        vals, vecs, n_null = eigh_null_split(self.density, rtol=self.rtol)
+        vals, vecs, n_null = eigh_null_split(self.density, rtol=rtol)
         floor = -PSD_TOL * max(float(vals[-1]), 0.0)
         if float(vals[0]) < floor:
             raise StateError(f"density matrix has negative eigenvalue {vals[0]!r}")
@@ -169,7 +172,9 @@ def gram_matrix(algebra, state: AlgebraState, validate: bool = True) -> np.ndarr
     """Gram matrix of a span's basis (or of an explicit matrix list) under a state."""
     G = state.gram(_matrix_stack(algebra, state))
     if validate and G.size:
-        _check_psd(G[None])
+        vals = np.linalg.eigvalsh(hermitize(G))
+        if float(vals[0]) < -PSD_TOL * max(float(vals[-1]), 1.0):
+            raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
     return G
 
 
@@ -183,14 +188,6 @@ def _matrix_stack(algebra, state: AlgebraState) -> np.ndarray:
             f"algebra acts on dimension {mats.shape[1]}, state lives on {state.dim}"
         )
     return mats
-
-
-def _check_psd(G: np.ndarray) -> None:
-    """StateError for the first of a stack of Gram matrices whose eigenvalues
-    dip below roundoff."""
-    for vals in np.linalg.eigvalsh(hermitize(G)):
-        if float(vals[0]) < -PSD_TOL * max(float(vals[-1]), 1.0):
-            raise StateError(f"Gram matrix not PSD: min eigenvalue {vals[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -239,8 +236,9 @@ class GnsSpace:
 def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None) -> GnsSpace:
     """Run the GNS construction for a state restricted to a unital span.
 
-    The Gram matrix is ``M^dag M`` for the stack ``M`` of columns
-    ``vec(B_a L)`` (``L`` the state's factor). Right singular vectors of
+    The Gram matrix is the Gramian ``M^dag M``, PSD by construction, of the
+    columns ``vec(B_a L)`` (``L`` the state's factor, its density cut at
+    the lower of its own rtol and ``rtol``). Right singular vectors of
     ``M`` with squared singular value at or below the relative cut span the
     null space, to about eps / s rather than an eigensolve's eps / s^2; the
     rest, scaled by 1 / s, form an orthonormal quotient basis, and the
@@ -271,22 +269,21 @@ def _check_closure(span: OperatorSpan, rtol: float) -> None:
 
 def _build_gns(span: OperatorSpan, states: list, rtol: float) -> list:
     """:func:`build_gns` for a list of states on one span, a GnsSpace per
-    state. States are stacked by the width k of their factor for the Gram
-    check and the SVD split, and then by GNS dimension r for the
-    representation."""
+    state. States are stacked by the width k of their factor for the Gramian
+    and the SVD split, and then by GNS dimension r for the representation.
+    The span's closure is checked once, after every factor is taken."""
     if not span.has_unit:
         raise ValueError("GNS construction requires a unital span")
     B, n, D = span.basis, span.dim, span.ambient_dim
     for st in states:
         _matrix_stack(span, st)
-    out = [st.factor for st in states]
+    out = [st._cut_factor(rtol) if rtol < st.rtol else st.factor for st in states]
+    _check_closure(span, rtol)
     for k, pos in regroup([L.shape[1] for L in out]):
         L = stack([out[i] for i in pos])
         V = (B @ L[:, None]).reshape(len(pos), n, D * k)
         G = V.conj() @ V.swapaxes(1, 2)
-        _check_psd(G)
         u, s, vh = right_singular(V.swapaxes(1, 2), left=True)
-        _check_closure(span, rtol)
         # cut as the Gram eigenvalues s^2
         n_keep = above_cut(s**2, s[:, :1] ** 2, rtol, max(n, D * k), "square").sum(axis=1)
         for r, sub in regroup(n_keep):
@@ -351,8 +348,9 @@ class IsotypicDecomposition:
         return np.concatenate([c.refined_weights for c in self.components])
 
 
-def _quotient_commutant(spaces: list, rtol: float) -> list:
-    """Commutant of each GNS representation in a list, from the GNS triple alone.
+def _commutant_and_center(spaces: list, rtol: float) -> tuple[list, list]:
+    """Commutant of each GNS representation in a list and its center, from
+    the GNS triple alone: ``(commutants, centers)``.
 
     With xi the cyclic vector, every T in the commutant is fixed by
     ``u = T xi``: ``T [Y] = T pi(Y) xi = pi(Y) u``. Conversely ``u`` gives
@@ -365,11 +363,22 @@ def _quotient_commutant(spaces: list, rtol: float) -> list:
     Since ``T_u xi = u`` with ``|xi| = 1``, ``|sum_i a_i T_{u_i}|_HS >= |a|``
     for orthonormal ``u_i``: every singular value of the stacked ``T_u`` is
     at least 1, so one QR gives the orthonormal basis and no rank is cut
-    but that of the allowed ``u``. Only ``rep_matrices``, ``null_coords``
-    and ``quotient_coords`` are read: O(n r^3) work, with no products in
-    the ambient space. Spaces of one shape share each SVD and QR.
+    but that of the allowed ``u``.
+
+    The center of a commutant ``C`` is its intersection with ``pi(A)``:
+    ``pi(A)`` is a unital *-algebra, hence its own bicommutant, so ``C``
+    meets ``C'`` exactly where it meets ``pi(A)``. Over orthonormal bases of
+    both (``pi(A)``'s cut by one SVD), the singular values of the overlap
+    are the cosines of the principal angles: exactly 1 on the center and 0
+    elsewhere, since the rest of ``C`` and of ``pi(A)`` are the traceless
+    parts ``1 (x) X`` and ``Y (x) 1`` of each component, which are
+    orthogonal. The cut sits at 1/2.
+
+    Only ``rep_matrices``, ``null_coords`` and ``quotient_coords`` are read:
+    O(n r^3) work, with no products in the ambient space. Spaces of one
+    shape share one stack of each, and each SVD and QR.
     """
-    out = list(spaces)
+    commutants, centers = list(spaces), list(spaces)
     for (n, n_null, r), pos in regroup([sp.null_coords.shape + (sp.gns_dim,) for sp in spaces]):
         rep = stack([spaces[i].rep_matrices for i in pos]).reshape(-1, n, r * r)
         null = stack([spaces[i].null_coords for i in pos])
@@ -379,43 +388,20 @@ def _quotient_commutant(spaces: list, rtol: float) -> list:
         cut = above_cut(s, np.maximum(1.0, s[:, :1]), rtol, max(n_null, 1) * r).sum(axis=1)
         # pi_x[j] = pi(X_j), and T_u[i, j] = (pi(X_j) u)_i
         pi_x = (quot.swapaxes(1, 2) @ rep).reshape(-1, r, r, r)
-        for c, sub in regroup(cut):
+        rep_basis, rank = row_basis(rep, rtol)
+        for (c, a), sub in regroup(zip(cut.tolist(), rank.tolist())):
             allowed = take(vh, sub)[:, c:].conj()
             # one column T_u per allowed u
             images = (take(pi_x, sub) @ allowed.swapaxes(1, 2)[:, None]).swapaxes(1, 2)
-            basis = np.linalg.qr(images.reshape(len(sub), r * r, -1))[0].swapaxes(1, 2)
-            for j, i in enumerate(pos[sub]):
-                out[i] = OperatorSpan(basis[j].reshape(-1, r, r), rtol=rtol)
-    return out
-
-
-def _commutant_center(spaces: list, commutants: list, rtol: float) -> list:
-    """Center of each commutant ``C``: its intersection with ``pi(A)``.
-
-    ``pi(A)`` is a unital *-algebra, hence its own bicommutant, so ``C``
-    meets ``C'`` exactly where it meets ``pi(A)``. Over orthonormal bases of
-    both (``pi(A)``'s cut by one SVD), the singular values of the overlap
-    are the cosines of the principal angles: exactly 1 on the center and 0
-    elsewhere, since the rest of ``C`` and of ``pi(A)`` are the traceless
-    parts ``1 (x) X`` and ``Y (x) 1`` of each component, which are
-    orthogonal. The cut sits at 1/2.
-    """
-    out = list(commutants)
-    rep_bases = {}
-    for (n, r), pos in regroup([sp.rep_matrices.shape[:2] for sp in spaces]):
-        rep = stack([spaces[i].rep_matrices for i in pos]).reshape(-1, n, r * r)
-        basis, rank = row_basis(rep, rtol)
-        rep_bases.update((i, basis[j, : rank[j]]) for j, i in enumerate(pos))
-    for (r, c, a), pos in regroup([(sp.gns_dim, C.dim, len(rep_bases[i]))
-                                   for i, (sp, C) in enumerate(zip(spaces, commutants))]):
-        Cb = stack([commutants[i].basis for i in pos]).reshape(-1, c, r * r)
-        Ab = stack([rep_bases[i] for i in pos])
-        u, cosines, _ = np.linalg.svd(Cb.conj() @ Ab.swapaxes(1, 2), full_matrices=False)
-        for z, sub in regroup(np.count_nonzero(cosines > 0.5, axis=1)):
-            Z = (take(u, sub)[:, :, :z].swapaxes(1, 2) @ take(Cb, sub)).reshape(len(sub), z, r, r)
-            for j, i in enumerate(pos[sub]):
-                out[i] = OperatorSpan(Z[j], rtol=rtol)
-    return out
+            C = np.linalg.qr(images.reshape(len(sub), r * r, -1))[0].swapaxes(1, 2)
+            A = take(rep_basis, sub)[:, :a]
+            u, cosines, _ = np.linalg.svd(C.conj() @ A.swapaxes(1, 2), full_matrices=False)
+            for z, at in regroup(np.count_nonzero(cosines > 0.5, axis=1)):
+                Z = (take(u, at)[:, :, :z].swapaxes(1, 2) @ take(C, at)).reshape(-1, z, r, r)
+                for j, i in enumerate(pos[sub[at]]):
+                    commutants[i] = OperatorSpan(C[at[j]].reshape(-1, r, r), rtol=rtol)
+                    centers[i] = OperatorSpan(Z[j], rtol=rtol)
+    return commutants, centers
 
 
 def _components(spaces: list, commutants: list, tables: list, seed: int) -> list:
@@ -423,9 +409,10 @@ def _components(spaces: list, commutants: list, tables: list, seed: int) -> list
 
     A component's weight is ``|V^dag xi|^2`` for its range V (orthonormal
     columns) and the cyclic vector xi, and its projection ``P = V V^dag``
-    is formed for the report alone; both are stacked over the components of
-    one shape. A component of multiplicity m > 1 spreads its weight over m
-    Schmidt directions. On the range of ``P`` the representation acts as
+    is formed for the report alone; one stack of V and xi per shape (for
+    m > 1 also per commutant dimension) gives both and the refined weights.
+    A component of multiplicity m > 1 spreads its weight over m Schmidt
+    directions. On the range of ``P`` the representation acts as
     ``M_n (x) 1_m`` and the commutant's corner as ``1_n (x) M_m``. The
     Hilbert-Schmidt projection of ``|v><v|`` (``v = P xi``) onto that
     corner is the trace-preserving conditional expectation
@@ -436,16 +423,17 @@ def _components(spaces: list, commutants: list, tables: list, seed: int) -> list
     """
     pairs = [(i, m, n, V) for i, table in enumerate(tables) for m, n, V in table]
     weight, proj, refined = {}, {}, {}
-    for _, pos in regroup([V.shape for *_, V in pairs]):
+    for (r, _, *refine), pos in regroup(
+            [V.shape + ((commutants[i].dim, n, m) if m > 1 else ()) for i, m, n, V in pairs]):
         V = stack([pairs[p][3] for p in pos])
-        y = (dagger(V) @ stack([spaces[pairs[p][0]].cyclic_vector for p in pos])[..., None])[..., 0]
+        xi = stack([spaces[pairs[p][0]].cyclic_vector for p in pos])
+        y = (dagger(V) @ xi[..., None])[..., 0]
         weight.update(zip(pos, (y.conj() * y).real.sum(axis=1).tolist()))
         proj.update(zip(pos, V @ dagger(V)))
-    for (r, c, n, m), pos in regroup(
-            [(V.shape[0], commutants[i].dim, n, m) if m > 1 else None for i, m, n, V in pairs]):
+        if not refine:
+            continue
+        c, n, m = refine
         C = stack([commutants[pairs[p][0]].basis for p in pos])
-        xi = stack([spaces[pairs[p][0]].cyclic_vector for p in pos])
-        V = stack([pairs[p][3] for p in pos])
         # <C_j, |xi><xi|> = conj(<xi| C_j |xi>)
         coeffs = ((C @ xi[:, None, :, None])[..., 0] @ xi.conj()[..., None]).conj()
         Y = (coeffs.swapaxes(1, 2) @ C.reshape(-1, c, r * r)).reshape(-1, r, r)
@@ -483,8 +471,7 @@ def _isotypic(spaces: list, seed: int, rtol: float, cluster_tol: float) -> list:
     space. Each stage runs stacked over all of them."""
     if not all(sp.gns_dim for sp in spaces):
         raise ValueError("GNS space is zero-dimensional")
-    commutants = _quotient_commutant(spaces, rtol)
-    centers = _commutant_center(spaces, commutants, rtol)
+    commutants, centers = _commutant_and_center(spaces, rtol)
     tables = read_blocks(commutants, centers, cluster_tol, "commutant corner")
     return _components(spaces, commutants, tables, seed)
 

@@ -55,6 +55,9 @@ CLOSURE_SLACK = 1e3
 #: How far a dimension or multiplicity reading may sit from an integer.
 INTEGER_TOL = 1e-6
 
+#: A state counts as pure when its restriction entropy falls below this.
+PURITY_TOL = 1e-9
+
 #: Numbers a batch of states on one span may stack at once, at n*D^2 per
 #: state (n the span's dimension, D its ambient one): larger batches are
 #: solved in consecutive chunks, of one state at least.

@@ -239,7 +239,7 @@ class OperatorSpan:
         herm, rank = hermitian_span_basis(self.basis, rtol=self.rtol)
         return herm[:rank]
 
-    def validate(self, rtol: float | None = None) -> dict[str, float]:
+    def validate(self) -> dict[str, float]:
         """Residuals of the span invariants, for tests and diagnostics."""
         n, D = self.dim, self.ambient_dim
         flat = self.basis.reshape(n, D * D)

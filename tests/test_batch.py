@@ -1,5 +1,7 @@
 """The batched entry point against a loop of the single-state one."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from gnsentropy import (
     restriction_entropies,
     restriction_entropy,
     span_closure,
+    wedderburn,
 )
+from gnsentropy import linalg
 from gnsentropy.entropy import state_chunks
 from gnsentropy.fock import example_generators
 
@@ -193,3 +197,25 @@ def test_a_stacked_lapack_failure_is_raised_as_its_state_alone_raises_it(presets
     monkeypatch.setattr(np.linalg, "svd", fails_on_lambda_03)
     err = assert_raises_like_the_loop(span, states)
     assert str(err) == "SVD did not converge on a stack of 1"
+
+
+def test_a_batch_of_one_pays_few_stacks_and_regroups(monkeypatch):
+    """A `both` solve of one full-rank density on full M_5, its span's blocks
+    cached: one pass per stage, at most 7 regroups and 8 stacks."""
+    counts = dict.fromkeys(("regroup", "stack"), 0)
+    for name in counts:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("gnsentropy")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    span = full_matrix_algebra(5)
+    wedderburn(span)
+    counts.update(regroup=0, stack=0)
+    rep = restriction_entropy(span, random_density(np.random.default_rng(5), 5, 5))
+    assert rep.gns_dim == 25 and rep.methods_agree
+    assert counts["regroup"] <= 7 and counts["stack"] <= 8

@@ -287,6 +287,22 @@ def test_boson_restriction_matches_closed_form(presets):
 
 
 @pytest.mark.parametrize("method", ["gns", "wedderburn", "both"])
+@pytest.mark.parametrize("name, param, value, weight", [
+    ("ex4_left", "theta", 1e-6, np.sin(1e-6) ** 2),
+    ("ex1_m2", "lambda", 1e-12, 1e-12),
+])
+def test_a_zero_tolerance_keeps_a_weight_above_roundoff(presets, method, name, param, value,
+                                                        weight):
+    # the solve's rtol reaches every cut: the state's factor and both spectra
+    span, family = presets[name]
+    rep = restriction_entropy(span, family.state({param: value}), method=method, rtol=0)
+    assert rep.spectrum.size == 2
+    assert abs(rep.spectrum.min() - weight) <= 1e-16
+    binary = -weight * np.log(weight) - (1 - weight) * np.log1p(-weight)
+    assert abs(rep.entropy_nats - binary) <= 1e-14
+
+
+@pytest.mark.parametrize("method", ["gns", "wedderburn", "both"])
 def test_a_mis_sized_state_is_named_on_both_routes(presets, preset_blocks, method):
     span, _ = presets["ex5_bosons"]
     state = AlgebraState(vector=[1, 0, 0])

@@ -19,10 +19,10 @@ from gnsentropy import (
     restriction_entropy,
     span_closure,
 )
-from gnsentropy import star_algebra
+from gnsentropy import gns, star_algebra
 from gnsentropy.fock import PAULI
-from gnsentropy.gns import _commutant_center, _quotient_commutant
-from gnsentropy.linalg import NULL_FLOOR
+from gnsentropy.gns import _commutant_and_center
+from gnsentropy.linalg import DEFAULT_RTOL, NULL_FLOOR
 from gnsentropy.star_algebra import minimal_projections
 
 import bruteforce as bf
@@ -401,7 +401,7 @@ def test_purity_iff_trivial_commutant(presets):
 def assert_commutant_matches_oracle(space):
     # the GNS triple fixes the commutant: no span, state or ambient basis
     triple = dataclasses.replace(space, span=None, state=None, cyclic_basis=None)
-    (got,) = _quotient_commutant([triple], space.rtol)
+    (got,), _ = _commutant_and_center([triple], space.rtol)
     want = commutant(list(space.rep_matrices))
     assert got.dim == want.dim
     gap = np.linalg.norm(bf.span_projector(got.basis) - bf.span_projector(want.basis), 2)
@@ -455,7 +455,7 @@ def test_quotient_commutant_of_faithful_state_is_right_regular(D):
     space = build_gns(full_matrix_algebra(D), AlgebraState(density=rho, normalize=True))
     assert space.null_dim == 0
     assert_commutant_matches_oracle(space)
-    assert _quotient_commutant([space], space.rtol)[0].dim == D * D
+    assert _commutant_and_center([space], space.rtol)[0][0].dim == D * D
 
 
 @pytest.mark.parametrize("k, m, rng_seed", [(3, 3, 103), (4, 6, 101), (2, 5, 620), (4, 2, 621)])
@@ -514,8 +514,7 @@ def test_isotypic_weights_do_not_depend_on_the_quotient_basis_order(presets):
 
 
 def assert_gns_center_matches_oracle(space):
-    (C,) = _quotient_commutant([space], space.rtol)
-    (got,) = _commutant_center([space], [C], space.rtol)
+    (C,), (got,) = _commutant_and_center([space], space.rtol)
     want = center(C)  # C comes from a bare basis: commutators with all of it
     assert got.dim == want.dim
     # for orthonormal bases of equal dimension the projector gap is the
@@ -537,8 +536,7 @@ def test_gns_center_of_faithful_full_matrix_algebra_is_scalars(D):
     X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     space = build_gns(full_matrix_algebra(D), AlgebraState(density=X @ X.conj().T, normalize=True))
     assert_gns_center_matches_oracle(space)
-    (C,) = _quotient_commutant([space], space.rtol)
-    assert _commutant_center([space], [C], space.rtol)[0].dim == 1
+    assert _commutant_and_center([space], space.rtol)[1][0].dim == 1
 
 
 @pytest.mark.parametrize("rank", [1, 2, "full"])
@@ -609,8 +607,8 @@ def test_multiplicities_above_one_give_their_schmidt_weights():
 def assert_corner_traces_match_oracle(space):
     """Each commutant corner dimension read off a trace rounds to the rank
     of the corner P C P cut by SVD and sits within 1e-12 of it."""
-    (C,) = _quotient_commutant([space], space.rtol)
-    (ranges,) = minimal_projections(_commutant_center([space], [C], space.rtol))
+    (C,), centers = _commutant_and_center([space], space.rtol)
+    (ranges,) = minimal_projections(centers)
     got = C.corner_dims(ranges)
     want = np.array([bf.corner_dim(V @ V.conj().T, C.basis) for V in ranges])
     assert np.array_equal(np.round(got), want)
@@ -672,3 +670,16 @@ def test_a_non_finite_component_trace_is_a_decomposition_error(monkeypatch):
     with pytest.raises(DecompositionError,
                        match="commutant corner dimension = nan is not a positive integer"):
         isotypic_decompose(space)
+
+
+def test_a_batch_checks_its_span_closed_once(monkeypatch):
+    calls = []
+    check = gns._check_closure
+    monkeypatch.setattr(gns, "_check_closure", lambda *a: calls.append(a) or check(*a))
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    states = [AlgebraState(vector=[1.0, 0.0, 0.0]),
+              AlgebraState(density=X @ X.conj().T, normalize=True)]
+    spaces = gns._build_gns(full_matrix_algebra(3), states, DEFAULT_RTOL)
+    assert [sp.gns_dim for sp in spaces] == [3, 9]
+    assert len(calls) == 1

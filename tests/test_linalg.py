@@ -8,6 +8,7 @@ import pytest
 
 from gnsentropy import AlgebraState, DecompositionError, full_matrix_algebra, restriction_entropy
 from gnsentropy import center, linalg, span_closure
+from gnsentropy.entropy import PURITY_TOL
 from gnsentropy.fock import example_generators
 from gnsentropy.linalg import (
     DEFAULT_RTOL,
@@ -284,3 +285,17 @@ def test_no_cut_bypasses_above_cut():
             if re.search(r"NULL_FLOOR|CLOSURE_SLACK", line)
             and not (path.name == "linalg.py" and i in allowed)]
     assert not hits
+
+
+def test_named_tolerances_are_assigned_in_linalg_alone():
+    src = Path(linalg.__file__).parent
+    hits = [f"{path.name}:{node.lineno}: {name}"
+            for path in sorted(src.glob("*.py")) if path.name != "linalg.py"
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for name in [n.id for n in ast.walk(target) if isinstance(n, ast.Name)]
+            if name.endswith("_TOL")]
+    assert not hits
+    # the old import path still works
+    assert PURITY_TOL is linalg.PURITY_TOL

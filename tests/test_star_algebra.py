@@ -10,6 +10,7 @@ from gnsentropy import (
     AlgebraState,
     ClosureError,
     OperatorSpan,
+    StateError,
     build_gns,
     center,
     commutant,
@@ -272,6 +273,16 @@ def test_span_that_is_not_closed_keeps_its_residual_and_raises():
     assert with_gens.closure_residual() > 0.1
     with pytest.raises(ClosureError, match=r"its 2 generators leave residual"):
         build_gns(with_gens, state)
+
+
+def test_a_bad_density_on_a_span_that_is_not_closed_raises_its_state_error_first():
+    span = span_closure([np.diag([1.0, 2.0, 4.0]).astype(complex)], include_unit=True)
+    span = OperatorSpan(span.basis[:2])
+    state = AlgebraState(density=np.diag([1.5, -0.25, -0.25]).astype(complex))
+    with pytest.raises(StateError, match="negative eigenvalue"):
+        build_gns(span, state)
+    with pytest.raises(ClosureError):
+        build_gns(span, AlgebraState(vector=[1.0, 0.0, 0.0]))
 
 
 def test_closure_residual_is_cached_and_reads_cached_structure_constants(monkeypatch):
