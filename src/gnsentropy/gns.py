@@ -21,13 +21,14 @@ u = T xi (xi the cyclic vector), since T pi(Y) xi = pi(Y) u, and u gives
 such a T exactly when pi(X) u = 0 for every null X. So the commutant is
 read off inside the r-dimensional quotient, with no Kronecker solve, no
 products with the span's basis and no data from the block route; its
-center is its intersection with the span of the representation (its own
-bicommutant), found from principal angles in the same pass, which stacks
-the triple once per shape. Multiplicities and irrep dimensions are read
-off traces by the same :func:`gnsentropy.star_algebra.read_blocks` as the
-block route's, and a component's weight |V^dag xi|^2 (V its range) spreads
-over its m Schmidt directions as the spectrum of the cyclic vector's state
-on the commutant's corner, with no random draws.
+center is the kernel of a map on the commutant that is bounded below on
+the rest (no basis of the representation's span), found in the same
+pass, which stacks the triple once per shape. Multiplicities and irrep
+dimensions are read off traces by the same
+:func:`gnsentropy.star_algebra.read_blocks` as the block route's, and a
+component's weight |V^dag xi|^2 (V its range) spreads over its m Schmidt
+directions as the spectrum of the cyclic vector's state on the
+commutant's corner, with no random draws.
 
 Every stage takes a list of states or spaces and runs stacked: one SVD,
 eigensolve or matrix product per group of items of one shape. A rank cut
@@ -362,45 +363,59 @@ def _commutant_and_center(spaces: list, rtol: float) -> tuple[list, list]:
     quotient basis (the columns of ``quotient_coords``) span the commutant.
     Since ``T_u xi = u`` with ``|xi| = 1``, ``|sum_i a_i T_{u_i}|_HS >= |a|``
     for orthonormal ``u_i``: every singular value of the stacked ``T_u`` is
-    at least 1, so one QR gives the orthonormal basis and no rank is cut
-    but that of the allowed ``u``.
+    at least 1, so one QR ``T = Q R`` gives the orthonormal basis C (the
+    columns of Q) and no rank is cut but that of the allowed ``u``.
 
-    The center of a commutant ``C`` is its intersection with ``pi(A)``:
-    ``pi(A)`` is a unital *-algebra, hence its own bicommutant, so ``C``
-    meets ``C'`` exactly where it meets ``pi(A)``. Over orthonormal bases of
-    both (``pi(A)``'s cut by one SVD), the singular values of the overlap
-    are the cosines of the principal angles: exactly 1 on the center and 0
-    elsewhere, since the rest of ``C`` and of ``pi(A)`` are the traceless
-    parts ``1 (x) X`` and ``Y (x) 1`` of each component, which are
-    orthogonal. The cut sits at 1/2.
-
-    Only ``rep_matrices``, ``null_coords`` and ``quotient_coords`` are read:
-    O(n r^3) work, with no products in the ambient space. Spaces of one
-    shape share one stack of each, and each SVD and QR.
+    The center Z is the kernel of ``Psi(T) = (1 - P)(T - pi(X_u))`` on C,
+    with ``u = T xi``, ``X_u`` the element of class u and P the projector
+    onto ``pi(N) = span pi(X_nu)``. A central T is ``pi(Y)`` with
+    ``[Y] = u``, so ``T - pi(X_u) = pi(Y - X_u)`` lies in ``pi(N)``. The
+    rest of C is orthogonal to all of ``pi(A)`` (on each component the
+    traceless parts ``1 (x) X`` and ``Y (x) 1`` are), so there
+    ``Psi(T) = T - a`` with a in ``pi(A)`` and ``|P_C Psi(T)| >= |T|``.
+    Hence ``M[k, w] = <C_k, Psi(T_{u_w})>`` has kernel Z in the coordinates
+    of the ``T_u`` and, as R has singular values at least 1, every other
+    singular value at least 1: the cut sits at 1/2. M is
+    ``R - (C^dag Pt) U^T``, Pt the columns ``vec pi(X_j)`` and U the rows u
+    (U = 1 with no null class), less ``(C^dag N^T) conj(N) (T - Pt U^T)``
+    over orthonormal rows N spanning ``pi(N)``; a c x z QR orthonormalizes
+    the ``R x`` of its kernel vectors x. Only ``rep_matrices``,
+    ``null_coords`` and ``quotient_coords`` are read, with no basis of
+    ``pi(A)``: O(n r^3) work, and the QR of the ``T_u`` is the only
+    factorization with r^2 rows. Spaces of one shape share one stack.
     """
     commutants, centers = list(spaces), list(spaces)
     for (n, n_null, r), pos in regroup([sp.null_coords.shape + (sp.gns_dim,) for sp in spaces]):
-        rep = stack([spaces[i].rep_matrices for i in pos]).reshape(-1, n, r * r)
-        null = stack([spaces[i].null_coords for i in pos])
-        quot = stack([spaces[i].quotient_coords for i in pos])
-        s, vh = right_singular((null.swapaxes(1, 2) @ rep).reshape(len(pos), n_null * r, r))
-        # T_u xi = u, so u -> T_u has norm at least 1: cut against max(1, s0)
-        cut = above_cut(s, np.maximum(1.0, s[:, :1]), rtol, max(n_null, 1) * r).sum(axis=1)
-        # pi_x[j] = pi(X_j), and T_u[i, j] = (pi(X_j) u)_i
-        pi_x = (quot.swapaxes(1, 2) @ rep).reshape(-1, r, r, r)
-        rep_basis, rank = row_basis(rep, rtol)
-        for (c, a), sub in regroup(zip(cut.tolist(), rank.tolist())):
-            allowed = take(vh, sub)[:, c:].conj()
-            # one column T_u per allowed u
-            images = (take(pi_x, sub) @ allowed.swapaxes(1, 2)[:, None]).swapaxes(1, 2)
-            C = np.linalg.qr(images.reshape(len(sub), r * r, -1))[0].swapaxes(1, 2)
-            A = take(rep_basis, sub)[:, :a]
-            u, cosines, _ = np.linalg.svd(C.conj() @ A.swapaxes(1, 2), full_matrices=False)
-            for z, at in regroup(np.count_nonzero(cosines > 0.5, axis=1)):
-                Z = (take(u, at)[:, :, :z].swapaxes(1, 2) @ take(C, at)).reshape(-1, z, r, r)
+        coords = np.concatenate([stack([spaces[i].quotient_coords for i in pos]),
+                                 stack([spaces[i].null_coords for i in pos])], axis=2)
+        # pt[j] = vec pi(X_j), and T_u[i, j] = (pi(X_j) u)_i; the rep stack is not kept
+        pi = coords.swapaxes(1, 2) @ stack([spaces[i].rep_matrices for i in pos]).reshape(-1, n, r * r)
+        pt, pi_null, keys = pi[:, :r], pi[:, r:], [(0, 0)] * len(pos)
+        if n_null:
+            s, vh = right_singular(pi_null.reshape(len(pos), n_null * r, r))
+            # T_u xi = u, so u -> T_u has norm at least 1: cut against max(1, s0)
+            cut = above_cut(s, np.maximum(1.0, s[:, :1]), rtol, n_null * r).sum(axis=1)
+            null_basis, rank = row_basis(pi_null, rtol)
+            keys = zip(cut.tolist(), rank.tolist())
+        for (a, b), sub in regroup(keys):
+            pi_x, Pt = take(pt, sub).reshape(-1, r, r, r), take(pt, sub).swapaxes(1, 2)
+            if n_null:  # one column T_u per allowed u; else T_{e_w} e_j = pi(X_j) e_w
+                Ut = take(vh, sub)[:, a:].conj().swapaxes(1, 2)
+                pi_x = pi_x @ Ut[:, None]
+            T = pi_x.swapaxes(1, 2).reshape(len(sub), r * r, -1)
+            Q, R = np.linalg.qr(T)
+            # M = R - QP: <C_k, T_{u_w}> = R[k, w], less what pi(X_u) and P take
+            QP = dagger(Q) @ Pt
+            if n_null:
+                N = take(null_basis, sub)[:, :b]
+                QP = QP @ Ut + (dagger(Q) @ N.swapaxes(1, 2)) @ (N.conj() @ (T - Pt @ Ut))
+            _, sigma, wh = np.linalg.svd(R - QP)
+            for z, at in regroup(np.count_nonzero(sigma <= 0.5, axis=1)):
+                x = dagger(take(wh, at)[:, wh.shape[-1] - z:])
+                Z = take(Q, at) @ np.linalg.qr(take(R, at) @ x)[0]
                 for j, i in enumerate(pos[sub[at]]):
-                    commutants[i] = OperatorSpan(C[at[j]].reshape(-1, r, r), rtol=rtol)
-                    centers[i] = OperatorSpan(Z[j], rtol=rtol)
+                    commutants[i] = OperatorSpan(Q[at[j]].T.reshape(-1, r, r), rtol=rtol)
+                    centers[i] = OperatorSpan(Z[j].T.reshape(-1, r, r), rtol=rtol)
     return commutants, centers
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from gnsentropy import (
     restriction_entropy,
     span_closure,
 )
-from gnsentropy import gns, star_algebra
+from gnsentropy import gns, linalg, star_algebra
 from gnsentropy.fock import PAULI
 from gnsentropy.gns import _commutant_and_center
 from gnsentropy.linalg import DEFAULT_RTOL, NULL_FLOOR
@@ -510,11 +511,14 @@ def test_isotypic_weights_do_not_depend_on_the_quotient_basis_order(presets):
 
 
 # ---------------------------------------------------------------------------
-# center of the commutant as C meet pi(A), against the commutator route
+# center of the commutant as the kernel of Psi, against the commutator route
 
 
 def assert_gns_center_matches_oracle(space):
-    (C,), (got,) = _commutant_and_center([space], space.rtol)
+    # the triple alone: rep_matrices, null_coords and quotient_coords
+    blank = dataclasses.replace(space, span=None, state=None, cyclic_basis=None,
+                                cyclic_vector=None, gram=None)
+    (C,), (got,) = _commutant_and_center([blank], space.rtol)
     want = center(C)  # C comes from a bare basis: commutators with all of it
     assert got.dim == want.dim
     # for orthonormal bases of equal dimension the projector gap is the
@@ -563,6 +567,84 @@ def test_gns_center_matches_commutator_center_on_graded_spectra(decades):
             rho = U @ np.diag(np.logspace(0, -decades, D)) @ U.conj().T
             space = build_gns(OperatorSpan(basis), AlgebraState(density=rho, normalize=True))
             assert_gns_center_matches_oracle(space)
+
+
+def psi_overlaps(space, C):
+    """<C_k, Psi(C_l)> over the commutant's orthonormal basis, numpy only:
+    Psi(T) = (1 - P)(T - pi(X_u)) with u = T xi, X_u the element of class u
+    (u_j X_j over the quotient basis) and P the projector onto the span of
+    the pi(X_nu) of the null classes."""
+    r = space.gns_dim
+    pi_x = np.einsum("aj,aik->jik", space.quotient_coords, space.rep_matrices).reshape(r, -1)
+    pi_null = np.einsum("av,aik->vik", space.null_coords, space.rep_matrices).reshape(-1, r * r)
+    _, s, vh = np.linalg.svd(pi_null, full_matrices=False)
+    # |pi(X_nu)|_HS <= sqrt(r) for a unit coefficient vector: roundoff lies below rtol
+    N = vh[s > space.rtol * max(1.0, s.max(initial=0.0))]
+    B = C.basis.reshape(C.dim, -1)
+    psi = B - (C.basis @ space.cyclic_vector) @ pi_x
+    psi -= (psi @ N.conj().T) @ N
+    return B.conj() @ psi.T
+
+
+def assert_psi_splits_the_commutant(space):
+    """The Psi overlaps vanish on the center and have every other singular
+    value at least 1."""
+    (C,), (Z,) = _commutant_and_center([space], space.rtol)
+    s = np.linalg.svd(psi_overlaps(space, C), compute_uv=False)
+    assert np.count_nonzero(s <= 1e-8) == Z.dim >= 1
+    assert s[: C.dim - Z.dim].min(initial=np.inf) >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_GRIDS))
+def test_psi_vanishes_on_the_center_alone_across_preset_families(presets, name):
+    span, family = presets[name]
+    for params in FAMILY_GRIDS[name]:
+        assert_psi_splits_the_commutant(build_gns(span, family.state(params)))
+
+
+@pytest.mark.parametrize("decades", [4, 8, 12])
+def test_psi_vanishes_on_the_center_alone_on_graded_spectra(decades):
+    for D in (6, 8, 12):
+        for s in range(4):
+            rng = np.random.default_rng(900 + 100 * decades + 10 * D + s)
+            basis, _ = bf.random_block_span(rng, D, max_rank=4)
+            U = bf.random_frame(rng, D)
+            rho = U @ np.diag(np.logspace(0, -decades, D)) @ U.conj().T
+            assert_psi_splits_the_commutant(
+                build_gns(OperatorSpan(basis), AlgebraState(density=rho, normalize=True)))
+
+
+def test_psi_vanishes_on_the_center_alone_on_hecke_n4_with_a_full_rank_density():
+    assert_psi_splits_the_commutant(_corner_oracle_space("hecke-n4"))
+
+
+@pytest.mark.parametrize("case", ["faithful-m5", "frame-4x6"])
+def test_the_commutant_qr_is_the_only_factorization_with_r_squared_rows(monkeypatch, case):
+    # the input shapes of every np.linalg.svd and qr call that gns makes,
+    # directly or through a linalg helper
+    seen = {"svd": [], "qr": []}
+    for name in seen:
+        def wrapped(a, *args, _name=name, _plain=getattr(np.linalg, name), **kwargs):
+            frame = inspect.currentframe().f_back
+            while frame.f_code.co_filename == linalg.__file__:
+                frame = frame.f_back
+            if frame.f_code.co_filename == gns.__file__:
+                seen[_name].append(np.shape(a))
+            return _plain(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    if case == "faithful-m5":
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        span, state = full_matrix_algebra(5), AlgebraState(density=X @ X.conj().T, normalize=True)
+    else:
+        gen, psi, _ = bf.random_tensor_factor(np.random.default_rng(101), 4, 6)
+        span, state = span_closure([gen], include_unit=True), AlgebraState(vector=psi)
+    rep = restriction_entropy(span, state, method="both")
+    assert rep.methods_agree
+    r2 = rep.gns_dim**2
+    assert [shape[-2] for shape in seen["qr"]].count(r2) == 1
+    assert not [shape for shape in seen["svd"] if r2 in shape[-2:]]
 
 
 # The inputs on which a Gram-Schmidt Hermitian basis kept one roundoff

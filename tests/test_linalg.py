@@ -142,7 +142,7 @@ def test_row_basis_of_a_wide_stack_matches_the_plain_svd(rows, cols, ranks, rtol
         assert np.linalg.norm(V.conj().T @ V - V0.conj().T @ V0, 2) <= 1e-12
 
 
-@pytest.mark.parametrize("case", ["faithful", "ex5_bosons"])
+@pytest.mark.parametrize("case", ["pure_m5", "ex5_bosons"])
 def test_row_basis_hands_no_wide_matrix_to_the_svd(monkeypatch, case):
     plain_svd, seen = np.linalg.svd, []
 
@@ -152,15 +152,16 @@ def test_row_basis_hands_no_wide_matrix_to_the_svd(monkeypatch, case):
             assert a.shape[-2] >= a.shape[-1], f"row_basis took the SVD of a wide {a.shape}"
         return plain_svd(a, *args, **kwargs)
 
-    if case == "faithful":
-        x = cgauss(np.random.default_rng(0), 5, 5)
-        span, state = full_matrix_algebra(5), AlgebraState(density=x @ x.conj().T, normalize=True)
+    if case == "pure_m5":
+        # n_null = 20 null classes against r^2 = 25
+        x = cgauss(np.random.default_rng(0), 5)
+        span, state = full_matrix_algebra(5), AlgebraState(vector=x, normalize=True)
     else:
         span, family = example_generators("ex5_bosons")
         state = family.state({"theta": 0.7, "phi": 0.3})
     monkeypatch.setattr(np.linalg, "svd", svd)
     restriction_entropy(span, state, method="both")
-    # the center's basis of pi(A) is a wide stack in both cases
+    # the basis of pi(N), the images of the null classes, is a wide stack in both cases
     assert seen
 
 
