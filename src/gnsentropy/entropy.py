@@ -51,7 +51,7 @@ from .linalg import (
     hermitize,
     stack,
 )
-from .star_algebra import OperatorSpan, WedderburnData, wedderburn
+from .star_algebra import OperatorSpan, WedderburnData, check_algebra, wedderburn
 
 LN2 = float(np.log(2.0))
 
@@ -162,18 +162,20 @@ def density_element(
     onto the span (``tr_B rho (x) 1_m`` for ``M_k (x) 1_m``). Hermiticity
     is checked. Block spectra are read off the compression of ``Drho`` to
     each block range ``blocks.ranges[k]``: eigenvalues come in groups of
-    size m_k, and one representative per group is kept. ``rtol`` is
-    accepted and has no effect. ``blocks`` from another span raises
-    ``ValueError``. This is the batch of one of the stacked computation
-    that :func:`restriction_entropies` runs over many states.
+    size m_k, and one representative per group is kept. The span must be a
+    unital *-algebra at ``rtol`` (:func:`gnsentropy.star_algebra.check_algebra`),
+    and ``blocks`` from another span raises ``ValueError``. This is the
+    batch of one of what :func:`restriction_entropies` runs over many states.
     """
-    return _density_elements(span, blocks, [state])[0]
+    return _density_elements(span, blocks, [state], span.rtol if rtol is None else rtol)[0]
 
 
-def _density_elements(span: OperatorSpan, blocks: WedderburnData, states: list) -> list:
+def _density_elements(span: OperatorSpan, blocks: WedderburnData, states: list,
+                      rtol: float) -> list:
     """:func:`density_element` for a list of states: the moments, the
     density elements and their Hermiticity check stacked, and one stacked
     ``eigvalsh`` per block."""
+    check_algebra(span, rtol, "density element")
     B, n, D = span.basis, span.dim, span.ambient_dim
     dims = (sum(blocks.block_dims), {V.shape[0] for V in blocks.ranges})
     if dims != (n, {D}):
@@ -335,7 +337,7 @@ def _solve(span, states, method, seed, rtol, oracle_tol, blocks) -> list:
     if method in ("wedderburn", "both"):
         if blocks is None:
             blocks = wedderburn(span, seed=seed, rtol=rtol)
-        dens = _density_elements(span, blocks, states)
+        dens = _density_elements(span, blocks, states, rtol)
     return [_report(method, seed, rtol, oracle_tol, *item)
             for item in zip(spaces, isos, spectra_gns, dens)]
 

@@ -10,8 +10,8 @@ the state. For ``omega = trace(L L^dag .)`` the class of ``X`` is ``X L``,
 so the quotient is the cyclic subspace spanned by the ``B_a L`` in
 C^(D x k) and ``pi(B_a)`` is ``B_a (x) 1_k`` restricted to it: the
 representation comes from products with the state's factor, and the span's
-structure constants are never expanded. The span must be an algebra, which
-a span from :func:`gnsentropy.star_algebra.span_closure` certifies itself.
+structure constants are never expanded. The span must be a unital
+*-algebra, which :func:`gnsentropy.star_algebra.check_algebra` checks.
 
 The quotient representation is then split into isotypic components: the
 ranges of the minimal projections of the center of the commutant of the
@@ -33,11 +33,11 @@ commutant's corner, with no random draws.
 Every stage takes a list of states or spaces and runs stacked: one SVD,
 eigensolve or matrix product per group of items of one shape. A rank cut
 counts per item and regroups the stack by that count, and a stage raises
-on the first check that fails; a build checks its span's closure once.
-:func:`build_gns` and :func:`isotypic_decompose` are batches of one. The representation's
-products are streamed in chunks of the span's basis, so no intermediate
-holds more than the n*D^2 + n^3 numbers of the streamed structure
-constants per state.
+on the first check that fails; a build checks its span once.
+:func:`build_gns` and :func:`isotypic_decompose` are batches of one. The
+representation's products are formed in chunks of the span's basis, which
+caps their scratch at n*D^2 + n^3 numbers per state where a full-rank
+density would take n*D^2*r at once.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ from .linalg import (
     stack,
     take,
 )
-from .star_algebra import OperatorSpan, check_residual, read_blocks
+from .star_algebra import OperatorSpan, check_algebra, read_blocks
 
 
 class AlgebraState:
@@ -246,40 +246,26 @@ def build_gns(span: OperatorSpan, state: AlgebraState, rtol: float | None = None
     matching left singular vectors E are its images ``vec(X L)``. The class
     of ``X`` is ``X L``, so ``pi(B_a)`` is ``B_a (x) 1_k`` on the range of
     E: ``rep_matrices[a] = E^dag (B_a (x) 1_k) E`` and the cyclic vector is
-    ``E^dag vec(L)``, with no structure constants. The span must be
-    multiplicatively closed. A span from
-    :func:`gnsentropy.star_algebra.span_closure` certified that itself, and
-    no product is formed when its :attr:`OperatorSpan.closure_cut` lies
-    within the residual cut at ``rtol``; otherwise
-    :meth:`OperatorSpan.closure_residual` measures it. This is the batch of
-    one of the stacked construction that
+    ``E^dag vec(L)``, with no structure constants. The span must be a
+    unital *-algebra: :func:`gnsentropy.star_algebra.check_algebra` asks,
+    at ``rtol``, after the factor is cut. This is the batch of one of the
+    stacked construction that
     :func:`gnsentropy.entropy.restriction_entropies` runs over many states.
     """
     rtol = span.rtol if rtol is None else rtol
     return _build_gns(span, [state], rtol)[0]
 
 
-def _check_closure(span: OperatorSpan, rtol: float) -> None:
-    certified = span.closure_cut
-    if certified is None or above_cut(certified, 1.0, rtol, span.dim, "residual"):
-        factors = (f"its {len(span.generators)} generators" if span.generators is not None
-                   else f"its {span.dim} basis elements")
-        check_residual(span, span.closure_residual(), rtol, "span is not multiplicatively "
-                       f"closed, as GNS needs: the products of its basis with {factors}")
-
-
 def _build_gns(span: OperatorSpan, states: list, rtol: float) -> list:
     """:func:`build_gns` for a list of states on one span, a GnsSpace per
     state. States are stacked by the width k of their factor for the Gramian
     and the SVD split, and then by GNS dimension r for the representation.
-    The span's closure is checked once, after every factor is taken."""
-    if not span.has_unit:
-        raise ValueError("GNS construction requires a unital span")
+    The span is checked once, after every factor is taken."""
     B, n, D = span.basis, span.dim, span.ambient_dim
     for st in states:
         _matrix_stack(span, st)
     out = [st._cut_factor(rtol) if rtol < st.rtol else st.factor for st in states]
-    _check_closure(span, rtol)
+    check_algebra(span, rtol, "GNS construction")
     for k, pos in regroup([L.shape[1] for L in out]):
         L = stack([out[i] for i in pos])
         V = (B @ L[:, None]).reshape(len(pos), n, D * k)
@@ -297,8 +283,7 @@ def _build_gns(span: OperatorSpan, states: list, rtol: float) -> list:
             E = take(u, sub)[:, :, :r][..., ::-1].copy()
             En, Eh = E.reshape(m, D, k * r), dagger(E)
             rep = np.empty((m, n, r, r), dtype=complex)
-            # the chunks hold no more numbers per state than the streamed
-            # structure constants' products and coefficients, n*D^2 + n^3
+            # chunks cap the scratch per state (n*D*k*r numbers unchunked)
             for c in chunks(n, D * k * r, n * D**2 + n**3):
                 # columns vec(B_a E_j): B_a times E_j reshaped D x k, one GEMM per chunk
                 rep[:, c] = Eh[:, None] @ (B[c].reshape(-1, D) @ En).reshape(m, -1, D * k, r)

@@ -5,11 +5,12 @@ Hilbert-Schmidt pairing) of a subspace of D x D matrices, plus, when it
 came from :func:`span_closure`, the factors it was closed by (its seeds,
 and its unit row when that is needed) and the cut it closed at, a bound on
 its closure residual. The operations here close spans under products and
-adjoints, compute centers (commuting with the seeds, else with the basis)
-and commutants as null spaces of commutator maps, and split a unital
-*-closed span into its irreducible matrix blocks by jointly refining the
-eigenspaces of a Hermitian basis of the center, and reading each block's
-dimension off a trace.
+adjoints, tell every stage whether a span is a unital *-algebra
+(:func:`check_algebra`), compute centers (commuting with the seeds, else
+with the basis) and commutants as null spaces of commutator maps, and
+split a unital *-algebra into its irreducible matrix blocks by jointly
+refining the eigenspaces of a Hermitian basis of its center, reading each
+block's dimension off a trace.
 
 Every function is pure and deterministic and makes no random draws; basis
 ordering is fixed by input order plus a deterministic enumeration of
@@ -98,18 +99,15 @@ class OperatorSpan:
 
     @cached_property
     def unit_coords(self) -> np.ndarray | None:
-        """Coefficients of the ambient identity, or None when the span misses it.
-
-        Computed on first read of this, :attr:`has_unit` or :meth:`unit`.
-        """
+        """Coefficients of the ambient identity, or None when the span misses
+        it; computed on first read of this, :attr:`has_unit` or :meth:`unit`."""
         eye = np.eye(self.ambient_dim)
         return self.coords(eye) if self.contains(eye) else None
 
     @property
     def closure_cut(self) -> float | None:
         """A bound on :meth:`closure_residual` that :func:`span_closure`
-        certified while closing the span, so that no product need be formed
-        to check closure; None for a span built by hand."""
+        certified, so :func:`check_algebra` forms no product; None for a span built by hand."""
         return self._closure_cut
 
     @property
@@ -203,9 +201,8 @@ class OperatorSpan:
         0): for a unital span they generate with the identity, ``span S``
         inside the span gives ``span S^j``, hence ``span span``, inside it.
         Without generators S runs over the basis, and this is (and shares
-        the cache of) :meth:`structure_constants`' residual. Cached. It is
-        always measured; a span from :func:`span_closure` also carries a
-        bound, :attr:`closure_cut`, that costs nothing to read.
+        the cache of) :meth:`structure_constants`' residual. Cached, and
+        always measured: :func:`check_algebra` reads :attr:`closure_cut` first.
         """
         if self.generators is None:
             return self.structure_constants()[1]
@@ -383,6 +380,23 @@ def check_residual(span: OperatorSpan, resid: float, rtol: float, what: str) -> 
         raise ClosureError(f"{what} leave residual {resid:.3e} above the cut {cut:.3e}")
 
 
+def check_algebra(span: OperatorSpan, rtol: float, what: str) -> None:
+    """Raise, led by ``what``, unless the span is a unital *-algebra: ValueError
+    without the unit, else ClosureError for the adjoints of its basis, then for
+    its products with its generators (its basis without), which pass unformed
+    when :attr:`OperatorSpan.closure_cut` lies within the cut."""
+    if not span.has_unit:
+        raise ValueError(f"{what} requires a unital span")
+    check_residual(span, span.adjoint_coords()[1], rtol,
+                   f"{what} requires a *-closed span: the adjoints of its basis")
+    certified = span.closure_cut
+    if certified is None or above_cut(certified, 1.0, rtol, span.dim, "residual"):
+        factors = (f"its {len(span.generators)} generators" if span.generators is not None
+                   else f"its {span.dim} basis elements")
+        check_residual(span, span.closure_residual(), rtol, f"{what} requires a multiplicatively "
+                       f"closed span: the products of its basis with {factors}")
+
+
 def full_matrix_algebra(D: int, rtol: float | None = None) -> OperatorSpan:
     """The full algebra of D x D matrices, basis = matrix units in row order."""
     return OperatorSpan(np.eye(D * D, dtype=complex).reshape(D * D, D, D), rtol=rtol)
@@ -525,28 +539,26 @@ def wedderburn(
     rtol: float | None = None,
     cluster_tol: float | None = None,
 ) -> WedderburnData:
-    """Block decomposition of a unital *-closed span into matrix algebras.
+    """Block decomposition of a unital *-algebra span into matrix algebras.
 
-    The minimal central projections are those of :func:`center`, and
-    :func:`read_blocks` reads each block's rank n_k off a trace and its
-    multiplicity as the projection's rank over n_k.
-    Blocks are sorted by descending rank, then multiplicity, then refinement
-    order. ``seed`` is accepted and has no effect: no step is random.
+    :func:`check_algebra` asks whether the span is one. The minimal central
+    projections are those of :func:`center`, and :func:`read_blocks` reads
+    each block's rank n_k off a trace and its multiplicity as the
+    projection's rank over n_k. Blocks are sorted by descending rank, then
+    multiplicity, then refinement order. ``seed`` is accepted and has no
+    effect: no step is random.
 
     The result depends on the span and the resolved ``rtol`` and
     ``cluster_tol`` alone, so it is cached on the span under that pair:
-    repeated calls return the same object, whose ``projections`` and
-    ``ranges`` are read-only. A call that raises caches nothing.
+    repeated calls return the same object, unchecked, with read-only
+    ``projections`` and ``ranges``; a call that raises caches nothing.
     """
     rtol = span.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
     cached = span._wedderburn.get((rtol, cluster_tol))
     if cached is not None:
         return cached
-    if not span.has_unit:
-        raise ValueError("wedderburn requires a unital span")
-    check_residual(span, span.adjoint_coords()[1], rtol,
-                   "wedderburn requires a *-closed span: the adjoints of its basis")
+    check_algebra(span, rtol, "wedderburn")
     Z = center(span, rtol=rtol)
     (blocks,) = read_blocks([span], [Z], cluster_tol, "block")
     blocks.sort(key=lambda b: (-b[0], -b[1]))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gnsentropy import AlgebraState, restriction_entropy, span_closure
 from gnsentropy.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -119,6 +120,24 @@ def test_run_with_explicit_generators(tmp_path, capsys):
     assert code == EXIT_OK
     report = json.loads(out)
     assert abs(report["entropy_nats"] - LN2) < 1e-9
+
+
+def test_run_with_an_explicit_density(tmp_path, capsys):
+    # the algebra of 1 and X is diagonal in the X basis, where diag(0.3, 0.7) is 1/2 each
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    rho = np.diag([0.3, 0.7])
+    spec = {"ambient_dim": 2, "algebra": {"generators": [pairs(X)]},
+            "state": {"density": pairs(rho)}}
+    code, out, _ = run_cli(capsys, "run", write_spec(tmp_path, "s.json", spec))
+    assert code == EXIT_OK
+    report = json.loads(out)
+    want = restriction_entropy(span_closure([X], include_unit=True), AlgebraState(density=rho))
+    assert report["entropy_nats"] == want.entropy_nats
+    assert abs(report["entropy_nats"] - LN2) < 1e-12
+    spec["state"]["density"] = pairs(np.diag([0.2, 0.3, 0.5]))
+    code, _, err = run_cli(capsys, "run", write_spec(tmp_path, "bad.json", spec))
+    assert code == EXIT_VALIDATION
+    assert "state.density: is 3x3, expected 2x2" in err
 
 
 def test_run_log_base_flag(tmp_path, capsys):
@@ -270,6 +289,21 @@ def test_sweep_width_zero_gives_single_row(tmp_path, capsys):
     )
     assert code == EXIT_OK
     assert len(out.strip().splitlines()) == 2
+
+
+def test_a_sweep_past_the_family_range_exits_2_and_writes_nothing(tmp_path, capsys):
+    spec = write_spec(tmp_path, "s.json", {
+        "algebra": {"preset": "ex1_m2"},
+        "state": {"parameters": {}},
+    })
+    out = tmp_path / "out.csv"
+    code, _, err = run_cli(
+        capsys, "sweep", spec, "--param", "lambda",
+        "--from", "0.5", "--to", "1.5", "--steps", "3", "--out", str(out),
+    )
+    assert code == EXIT_VALIDATION
+    assert "lambda must lie in [0, 1], got 1.5" in err
+    assert not out.exists()
 
 
 def test_sweep_unknown_parameter(tmp_path, capsys):

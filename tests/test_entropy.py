@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -17,11 +18,14 @@ from gnsentropy import (
     von_neumann_entropy,
     wedderburn,
 )
-from gnsentropy.cli import plane_to_angles
+from gnsentropy import OracleMismatchError, entropy
+from gnsentropy.cli import EXIT_NUMERICAL, main, plane_to_angles
 from gnsentropy.entropy import LN2, restriction_entropies
 from gnsentropy.fock import example_generators
+from gnsentropy.linalg import DEFAULT_RTOL
 
 import bruteforce as bf
+from test_batch import assert_raises_like_the_loop
 
 
 def unit(d, i, j):
@@ -311,6 +315,35 @@ def test_a_mis_sized_state_is_named_on_both_routes(presets, preset_blocks, metho
         restriction_entropy(span, state, method=method)
     with pytest.raises(ValueError, match=message):
         density_element(span, preset_blocks["ex5_bosons"], state)
+
+
+def test_spectra_that_disagree_stop_a_both_run(presets, monkeypatch, tmp_path, capsys):
+    # the GNS spectrum of the Bell pair moved by 1e-6, far above the oracle tolerance
+    exact = entropy.gns_density
+
+    def skewed(iso, tol=DEFAULT_RTOL):
+        w = exact(iso, tol).weights.copy()
+        w[0] += 1e-6
+        w[-1] -= 1e-6
+        return SpectralState(weights=w)
+
+    monkeypatch.setattr(entropy, "gns_density", skewed)
+    span, family = presets["ex2_bell"]
+    state = family.state({})
+    gns = restriction_entropy(span, state, method="gns").spectrum
+    blocks = restriction_entropy(span, state, method="wedderburn").spectrum
+    assert np.abs(gns - blocks).max() > 1e-7
+    with pytest.raises(OracleMismatchError) as info:
+        restriction_entropy(span, state, method="both")
+    assert str(info.value) == f"GNS and block spectra disagree: {gns!r} vs {blocks!r}"
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mixed = AlgebraState(density=X @ X.conj().T, normalize=True)
+    assert_raises_like_the_loop(span, [mixed, state, mixed], "both")
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"algebra": {"preset": "ex2_bell"}, "state": {"parameters": {}}}))
+    assert main(["run", str(spec)]) == EXIT_NUMERICAL
+    assert "numerical failure: GNS and block spectra disagree" in capsys.readouterr().err
 
 
 def test_single_method_reports(presets):

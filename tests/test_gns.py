@@ -756,8 +756,8 @@ def test_a_non_finite_component_trace_is_a_decomposition_error(monkeypatch):
 
 def test_a_batch_checks_its_span_closed_once(monkeypatch):
     calls = []
-    check = gns._check_closure
-    monkeypatch.setattr(gns, "_check_closure", lambda *a: calls.append(a) or check(*a))
+    check = gns.check_algebra
+    monkeypatch.setattr(gns, "check_algebra", lambda *a: calls.append(a) or check(*a))
     rng = np.random.default_rng(11)
     X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     states = [AlgebraState(vector=[1.0, 0.0, 0.0]),

@@ -1,5 +1,7 @@
+import ast
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gnsentropy import (
     build_gns,
     center,
     commutant,
+    density_element,
     full_matrix_algebra,
     restriction_entropy,
     span_closure,
@@ -824,6 +827,81 @@ def test_closure_errors_say_by_how_much_they_failed():
             "requires a *-closed span: the adjoints of its basis leave residual 1.000e+00 "
             "above the cut 1.000e-07")):
         wedderburn(OperatorSpan(basis))
+
+
+# ---------------------------------------------------------------------------
+# the algebra gate
+
+#: the upper-triangular algebra T_2: unital and closed under products, not *-closed
+UPPER_TRIANGULAR = OperatorSpan(np.array([unit(2, 0, 0), unit(2, 0, 1), unit(2, 1, 1)]))
+
+
+def star_closed_pair():
+    """span{1, X}, *-closed but not closed under products (X^2 is not in it)."""
+    X = np.array([[0.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]], dtype=complex)
+    q, _ = np.linalg.qr(np.array([np.eye(3).ravel(), X.ravel()], dtype=complex).T)
+    return OperatorSpan(q.T.reshape(2, 3, 3))
+
+
+@pytest.mark.parametrize("state", [AlgebraState(vector=[0.6, 0.8]),
+                                   AlgebraState(density=np.diag([0.3, 0.7]))],
+                         ids=["pure", "mixed"])
+def test_the_gns_route_refuses_a_span_that_is_not_star_closed(state):
+    # without the adjoint check a pure state gives 0 nats and a mixed one a non-square corner
+    with pytest.raises(ClosureError, match=re.escape(
+            "GNS construction requires a *-closed span: the adjoints of its basis leave "
+            "residual 1.000e+00 above the cut 1.000e-07")):
+        restriction_entropy(UPPER_TRIANGULAR, state, method="gns")
+
+
+def test_the_block_route_refuses_a_span_that_is_not_closed_under_products():
+    # without the product check the joint refinement finds 3 of 2 minimal projections
+    span = star_closed_pair()
+    want = ("requires a multiplicatively closed span: the products of its basis with its 2 "
+            "basis elements leave residual 3.998e-01")
+    with pytest.raises(ClosureError, match="wedderburn " + re.escape(want)):
+        wedderburn(span)
+    with pytest.raises(ClosureError, match="wedderburn " + re.escape(want)):
+        restriction_entropy(span, AlgebraState(vector=[1.0, 0.0, 0.0]), method="wedderburn")
+    # handed blocks of the right size are not trusted either
+    blocks = wedderburn(span_closure([np.diag([0.0, 0.0, 1.0])], include_unit=True))
+    assert sum(blocks.block_dims) == span.dim
+    with pytest.raises(ClosureError, match="density element " + re.escape(want)):
+        density_element(span, blocks, AlgebraState(vector=[1.0, 0.0, 0.0]))
+
+
+def test_the_algebra_gate_checks_unit_then_adjoints_then_products():
+    N = np.diag([1.0, 1.0], 1).astype(complex)  # neither N^dag nor N^2 is in span{1, N}
+    with pytest.raises(ValueError, match="^stage requires a unital span$"):
+        star_algebra.check_algebra(OperatorSpan([N]), 1e-10, "stage")
+    span = OperatorSpan(np.array([np.eye(3) / np.sqrt(3), N / np.sqrt(2)]))
+    with pytest.raises(ClosureError, match=r"^stage requires a \*-closed span"):
+        star_algebra.check_algebra(span, 1e-10, "stage")
+    basis = star_closed_pair().basis
+    with pytest.raises(ClosureError, match=r"^stage requires a multiplicatively closed span: "
+                       "the products of its basis with its 1 generators leave residual"):
+        star_algebra.check_algebra(OperatorSpan(basis, generators=basis[1:]), 1e-10, "stage")
+
+
+def test_the_algebra_gate_forms_no_product_for_a_certified_closure(monkeypatch):
+    span, _ = example_generators("ex5_bosons")
+    monkeypatch.setattr(OperatorSpan, "_expand_products", lambda *a: pytest.fail("a product"))
+    star_algebra.check_algebra(span, span.rtol, "stage")
+    # a cut far below the certificate measures the products instead
+    with pytest.raises(pytest.fail.Exception, match="a product"):
+        star_algebra.check_algebra(span, 1e-30, "stage")
+
+
+def test_no_module_but_star_algebra_reads_how_a_span_is_certified():
+    # every stage asks check_algebra instead
+    guarded = {"closure_cut", "closure_residual", "adjoint_coords", "has_unit", "unit_coords",
+               "generators"}
+    src = Path(star_algebra.__file__).parent
+    hits = [f"{path.name}:{node.lineno}: .{node.attr}"
+            for path in sorted(src.glob("*.py")) if path.name != "star_algebra.py"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in guarded]
+    assert not hits
 
 
 def test_a_center_of_dimension_zero_says_so(monkeypatch):
