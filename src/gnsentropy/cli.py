@@ -58,7 +58,10 @@ def _fmt(x: float) -> str:
 
 
 def parse_complex_pairs(data, name: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected [re, im] pairs of numbers, got {data!r}") from None
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError(f"{name}: expected [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -102,11 +105,31 @@ def load_scenario(path) -> dict:
     return spec
 
 
+def _number(value, name: str) -> float:
+    """A scenario value read as a float; ValueError naming the field if it is
+    none. A JSON boolean is none, though Python reads it as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _field(section: dict, key: str, kind: type, what: str, name: str):
+    """``section[key]`` when it has the JSON type ``kind``; ValueError naming
+    the field ``name`` otherwise."""
+    value = section[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def _tolerance(value) -> float | None:
     """A relative tolerance, which must be finite and non-negative, or None."""
     if value is None:
         return None
-    tol = float(value)
+    tol = _number(value, "tolerance")
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
     return tol
@@ -130,7 +153,7 @@ def build_scenario(spec: dict):
     rtol = _tolerance(spec.get("tolerance"))
 
     if has_preset:
-        name = algebra["preset"]
+        name = _field(algebra, "preset", str, "a preset name", "algebra.preset")
         span, family = example_generators(name)
         dim = family.ambient_dim
         declared = spec.get("ambient_dim")
@@ -140,7 +163,9 @@ def build_scenario(spec: dict):
             )
         params = {}
         if given[0] == "parameters":
-            params = dict(state_spec["parameters"])
+            params = dict(_field(state_spec, "parameters", dict, "an object", "state.parameters"))
+            for key, val in params.items():
+                _number(val, f"state.parameters.{key}")
             state = family.state(params)
         meta = {"preset": name, "parameters": params, "family": family}
     else:
@@ -148,9 +173,12 @@ def build_scenario(spec: dict):
         if dim is None:
             raise ValueError("scenario with explicit generators needs 'ambient_dim'")
         dim = as_int(dim, "ambient_dim")
+        if dim < 1:
+            raise ValueError(f"ambient_dim must be at least 1, got {dim}")
         gens = [
             parse_matrix(g, dim, f"algebra.generators[{i}]")
-            for i, g in enumerate(algebra["generators"])
+            for i, g in enumerate(_field(algebra, "generators", list, "a list of matrices",
+                                         "algebra.generators"))
         ]
         span = span_closure(gens, include_unit=True, ambient_dim=dim, rtol=rtol)
         if given[0] == "parameters":

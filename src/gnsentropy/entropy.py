@@ -24,6 +24,7 @@ and shift the entropy by ``sum_k lambda_k log m_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .gns import (
     _build_gns,
     _isotypic,
     _matrix_stack,
-    gns_density,
 )
 from .linalg import (
     CLUSTER_TOL,
@@ -49,6 +49,7 @@ from .linalg import (
     chunks,
     dagger,
     hermitize,
+    regroup,
     stack,
 )
 from .star_algebra import OperatorSpan, WedderburnData, check_algebra, wedderburn
@@ -90,13 +91,19 @@ def von_neumann_entropy(spectrum, base: str | None = None) -> float:
     base = str(base)
     if base not in ("e", "2"):
         raise ValueError(f"base must be 'e' or '2', got {base!r}")
-    if not np.isfinite(w).all():
-        raise ValueError("entropy weights must be finite")
-    w = w[w > 0.0]
-    s = float(-(w * np.log(w)).sum()) if w.size else 0.0
-    if s <= 0.0:
-        s = 0.0
+    # zeros drop out; a non-finite weight stays, for _entropies to reject
+    s = _entropies(w[(w > 0.0) | ~np.isfinite(w)][None])[0]
     return s / LN2 if base == "2" else s
+
+
+def _entropies(rows: np.ndarray) -> list:
+    """``-sum(w log w)`` in nats over each row of a stack of positive
+    weights, floored at 0; one sum per row, in numpy's order for a row.
+    Non-finite weights raise ``ValueError``."""
+    if not np.isfinite(rows).all():
+        raise ValueError("entropy weights must be finite")
+    s = -(rows * np.log(rows)).sum(axis=-1)
+    return np.where(s <= 0.0, 0.0, s).tolist()
 
 
 def partial_trace(state, dims: tuple[int, int], keep: str = "A") -> np.ndarray:
@@ -143,8 +150,8 @@ class DensityElement:
         """Block eigenvalues above the cut at ``tol`` (scale 1), descending."""
         if not self.block_spectra:
             return np.zeros(0)
-        w = np.concatenate(self.block_spectra)
-        return np.sort(w[above_cut(w, 1.0, tol, w.size, "square")])[::-1]
+        rows, kept = _cut_spectra(np.concatenate(self.block_spectra)[None], tol)
+        return rows[0, : kept[0]]
 
 
 def density_element(
@@ -167,14 +174,15 @@ def density_element(
     and ``blocks`` from another span raises ``ValueError``. This is the
     batch of one of what :func:`restriction_entropies` runs over many states.
     """
-    return _density_elements(span, blocks, [state], span.rtol if rtol is None else rtol)[0]
+    return _density_elements(span, blocks, [state], span.rtol if rtol is None else rtol)[0][0]
 
 
 def _density_elements(span: OperatorSpan, blocks: WedderburnData, states: list,
                       rtol: float) -> list:
     """:func:`density_element` for a list of states: the moments, the
     density elements and their Hermiticity check stacked, and one stacked
-    ``eigvalsh`` per block."""
+    ``eigvalsh`` per block. Returns the elements and their block spectra
+    side by side, one row per state."""
     check_algebra(span, rtol, "density element")
     B, n, D = span.basis, span.dim, span.ambient_dim
     dims = (sum(blocks.block_dims), {V.shape[0] for V in blocks.ranges})
@@ -196,7 +204,7 @@ def _density_elements(span: OperatorSpan, blocks: WedderburnData, states: list,
         vals = np.linalg.eigvalsh(hermitize(dagger(V) @ D_mat @ V))
         groups = vals.reshape(-1, n_k, m_k)
         spread = (groups.max(axis=2) - groups.min(axis=2)).max(axis=1)
-        block_vals = groups.mean(axis=2)
+        block_vals = groups.sum(axis=2) / m_k  # each group's mean
         bad = spread > RESULT_TOL * np.maximum(1.0, np.abs(vals).max(axis=1))
         if bad.any():
             raise DecompositionError(
@@ -208,9 +216,10 @@ def _density_elements(span: OperatorSpan, blocks: WedderburnData, states: list,
             raise StateError(
                 f"restricted state has negative block eigenvalue {block_vals[bad.argmax()].min()!r}"
             )
-        spectra.append(np.clip(block_vals, 0.0, None))
-    return [DensityElement(matrix=D_mat[j], block_spectra=tuple(spec[j] for spec in spectra),
-                           blocks=blocks) for j in range(len(states))]
+        spectra.append(np.maximum(block_vals, 0.0))
+    elements = [DensityElement(matrix=D_mat[j], block_spectra=tuple(spec[j] for spec in spectra),
+                               blocks=blocks) for j in range(len(states))]
+    return elements, np.concatenate(spectra, axis=1)
 
 
 @dataclass(frozen=True)
@@ -244,12 +253,18 @@ class RestrictionReport:
 
 def spectra_agree(a: np.ndarray, b: np.ndarray, tol: float = ORACLE_TOL) -> bool:
     """Multiset comparison of two spectra, padding the shorter with zeros."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    size = max(a.size, b.size)
-    padded = np.zeros((2, size))
-    padded[0, : a.size] = np.sort(a)[::-1]
-    padded[1, : b.size] = np.sort(b)[::-1]
-    return bool(size == 0 or np.abs(padded[0] - padded[1]).max() <= tol)
+    a, b = (np.sort(np.asarray(w, dtype=float).ravel())[::-1][None] for w in (a, b))
+    return bool(_agree(a, b, tol)[0])
+
+
+def _agree(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Which rows of two stacks of descending spectra lie within ``tol`` of
+    each other, the shorter padded with zeros; NaN agrees with nothing."""
+    if a.shape[1] != b.shape[1]:
+        padded = np.zeros((2, len(a), max(a.shape[1], b.shape[1])))
+        padded[0, :, : a.shape[1]], padded[1, :, : b.shape[1]] = a, b
+        a, b = padded
+    return np.abs(a - b).max(axis=1, initial=0.0) <= tol
 
 
 def restriction_entropy(
@@ -329,58 +344,96 @@ def restriction_entropies(
 
 def _solve(span, states, method, seed, rtol, oracle_tol, blocks) -> list:
     """The reports of one chunk of states; the first failed check raises."""
-    spaces = isos = spectra_gns = dens = [None] * len(states)
+    spaces = isos = dens = [None] * len(states)
+    spectra, rows = {}, None
     if method in ("gns", "both"):
         spaces = _build_gns(span, states, rtol)
-        isos = _isotypic(spaces, seed, rtol, CLUSTER_TOL)
-        spectra_gns = [gns_density(iso, rtol).weights for iso in isos]
+        isos, weights = _isotypic(spaces, seed, rtol, CLUSTER_TOL)
+        spectra["gns"] = _gns_spectra(weights, len(states), rtol)
     if method in ("wedderburn", "both"):
         if blocks is None:
             blocks = wedderburn(span, seed=seed, rtol=rtol)
-        dens = _density_elements(span, blocks, states, rtol)
-    return [_report(method, seed, rtol, oracle_tol, *item)
-            for item in zip(spaces, isos, spectra_gns, dens)]
+        dens, rows = _density_elements(span, blocks, states, rtol)
+        spectra["blocks"] = _cut_spectra(rows, rtol)
+    return _reports(method, seed, oracle_tol, spaces, isos, dens, rows, spectra)
 
 
-def _report(method, seed, rtol, oracle_tol, gns_space, iso, spectrum_gns,
-            dens) -> RestrictionReport:
-    spectrum_blocks = dens.spectrum(rtol) if dens is not None else None
-    agree = None
-    if method == "both":
-        agree = spectra_agree(spectrum_gns, spectrum_blocks, tol=oracle_tol)
-        if not agree:
-            raise OracleMismatchError(
-                "GNS and block spectra disagree: "
-                f"{spectrum_gns!r} vs {spectrum_blocks!r}"
+def _cut_spectra(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of a stack of weights (N, L) sorted descending, and how many
+    of its lead entries lie above the cut at ``tol`` (scale 1)."""
+    rows = -np.sort(-rows, axis=-1)
+    return rows, above_cut(rows, 1.0, tol, rows.shape[-1], "square").sum(axis=-1)
+
+
+def _gns_spectra(weights: tuple, count: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The GNS spectrum of each of ``count`` states from the refined weights
+    ``(owner, values)`` of all of them: one row per state, sorted descending
+    (padded below zero to a common length when the states have different
+    numbers of weights), and cut as :func:`_cut_spectra` cuts. Returns
+    ``(rows, kept)``; the spectrum of state i is ``rows[i, :kept[i]]``, and
+    one that does not sum to 1 raises as :class:`SpectralState` does."""
+    owner, values = weights
+    at = np.lexsort((-values, owner))  # by state, then by descending weight
+    state, sizes = owner[at], np.bincount(owner, minlength=count)
+    rows = np.full((count, sizes.max()), -1.0)
+    rows[state, np.arange(len(at)) - (np.cumsum(sizes) - sizes)[state]] = values[at]
+    keep = above_cut(rows, 1.0, tol, sizes[:, None], "square")
+    for i in np.flatnonzero(np.abs(rows.sum(axis=1, where=keep) - 1.0) > RESULT_TOL):
+        SpectralState(weights=rows[i, keep[i]])
+    return rows, keep.sum(axis=1)
+
+
+def _reports(method, seed, oracle_tol, spaces, isos, dens, block_rows, spectra) -> list:
+    """The report of each state from its spectra ``(rows, kept)`` per route
+    and its block spectra side by side in ``block_rows``: one agreement
+    check and one entropy sum per route for each group of states whose
+    spectra have the same lengths. A ``both`` run whose spectra disagree as
+    :func:`spectra_agree` compares them raises :class:`OracleMismatchError`."""
+    reports = [None] * len(spaces)
+    if block_rows is not None:
+        blocks, block_rows = dens[0].blocks, block_rows.tolist()
+        ends = accumulate(blocks.block_ranks)
+        layout = [(n, m, e - n, e) for n, m, e in zip(blocks.block_ranks, blocks.multiplicities, ends)]
+    keys = list(zip(*(kept.tolist() for _, kept in spectra.values())))
+    agree = True if method == "both" else None  # a disagreement raises
+    for lengths, sub in regroup(keys):
+        rows = {route: spectra[route][0][sub, :k] for route, k in zip(spectra, lengths)}
+        if method == "both":
+            close = _agree(rows["gns"], rows["blocks"], oracle_tol)
+            if not close.all():
+                j = np.flatnonzero(~close)[0]
+                raise OracleMismatchError(
+                    "GNS and block spectra disagree: "
+                    f"{rows['gns'][j]!r} vs {rows['blocks'][j]!r}"
+                )
+        nats = {route: _entropies(w) for route, w in rows.items()}
+        missing = [None] * len(sub)
+        for i, s_gns, s_blocks, spectrum in zip(sub.tolist(), nats.get("gns", missing),
+                                                nats.get("blocks", missing),
+                                                rows.get("gns", rows.get("blocks"))):
+            gns_space, iso, den = spaces[i], isos[i], dens[i]
+            s_nats = s_gns if s_gns is not None else s_blocks
+            reports[i] = RestrictionReport(
+                method=method,
+                entropy_nats=s_nats,
+                entropy_bits=s_nats / LN2,
+                spectrum=spectrum,
+                pure=bool(s_nats < PURITY_TOL),
+                gns_dim=gns_space.gns_dim if gns_space is not None else None,
+                null_dim=gns_space.null_dim if gns_space is not None else None,
+                commutant_dim=iso.commutant_dim if iso is not None else None,
+                components=tuple(
+                    (c.irrep_dim, c.multiplicity, c.weight) for c in iso.components
+                ) if iso is not None else None,
+                blocks=tuple(
+                    (n, m, tuple(block_rows[i][a:b])) for n, m, a, b in layout
+                ) if den is not None else None,
+                entropy_nats_gns=s_gns,
+                entropy_nats_blocks=s_blocks,
+                methods_agree=agree,
+                seed=seed,
+                gns=gns_space,
+                isotypic=iso,
+                density=den,
             )
-
-    s_gns = von_neumann_entropy(spectrum_gns) if spectrum_gns is not None else None
-    s_blocks = von_neumann_entropy(spectrum_blocks) if spectrum_blocks is not None else None
-    spectrum = spectrum_gns if spectrum_gns is not None else spectrum_blocks
-    s_nats = s_gns if s_gns is not None else s_blocks
-    return RestrictionReport(
-        method=method,
-        entropy_nats=s_nats,
-        entropy_bits=s_nats / LN2,
-        spectrum=spectrum,
-        pure=bool(s_nats < PURITY_TOL),
-        gns_dim=gns_space.gns_dim if gns_space is not None else None,
-        null_dim=gns_space.null_dim if gns_space is not None else None,
-        commutant_dim=iso.commutant_dim if iso is not None else None,
-        components=tuple(
-            (c.irrep_dim, c.multiplicity, c.weight) for c in iso.components
-        ) if iso is not None else None,
-        blocks=tuple(
-            (n, m, tuple(spec))
-            for n, m, spec in zip(
-                dens.blocks.block_ranks, dens.blocks.multiplicities, dens.block_spectra
-            )
-        ) if dens is not None else None,
-        entropy_nats_gns=s_gns,
-        entropy_nats_blocks=s_blocks,
-        methods_agree=agree,
-        seed=seed,
-        gns=gns_space,
-        isotypic=iso,
-        density=dens,
-    )
+    return reports

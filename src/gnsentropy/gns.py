@@ -334,9 +334,12 @@ class IsotypicDecomposition:
         return np.concatenate([c.refined_weights for c in self.components])
 
 
-def _commutant_and_center(spaces: list, rtol: float) -> tuple[list, list]:
+def _commutant_and_center(spaces: list, rtol: float) -> list:
     """Commutant of each GNS representation in a list and its center, from
-    the GNS triple alone: ``(commutants, centers)``.
+    the GNS triple alone, in the groups of spaces that share a shape:
+    ``(pos, C, Z)`` for the spaces at positions ``pos``, with orthonormal
+    bases C (g, c, r, r) of their commutants and Z (g, z, r, r) of the
+    centers.
 
     With xi the cyclic vector, every T in the commutant is fixed by
     ``u = T xi``: ``T [Y] = T pi(Y) xi = pi(Y) u``. Conversely ``u`` gives
@@ -369,7 +372,7 @@ def _commutant_and_center(spaces: list, rtol: float) -> tuple[list, list]:
     ``pi(A)``: O(n r^3) work, and the QR of the ``T_u`` is the only
     factorization with r^2 rows. Spaces of one shape share one stack.
     """
-    commutants, centers = list(spaces), list(spaces)
+    groups = []
     for (n, n_null, r), pos in regroup([sp.null_coords.shape + (sp.gns_dim,) for sp in spaces]):
         coords = np.concatenate([stack([spaces[i].quotient_coords for i in pos]),
                                  stack([spaces[i].null_coords for i in pos])], axis=2)
@@ -398,82 +401,89 @@ def _commutant_and_center(spaces: list, rtol: float) -> tuple[list, list]:
             for z, at in regroup(np.count_nonzero(sigma <= 0.5, axis=1)):
                 x = dagger(take(wh, at)[:, wh.shape[-1] - z:])
                 Z = take(Q, at) @ np.linalg.qr(take(R, at) @ x)[0]
-                for j, i in enumerate(pos[sub[at]]):
-                    commutants[i] = OperatorSpan(Q[at[j]].T.reshape(-1, r, r), rtol=rtol)
-                    centers[i] = OperatorSpan(Z[j].T.reshape(-1, r, r), rtol=rtol)
-    return commutants, centers
+                groups.append((pos[sub[at]], *(np.ascontiguousarray(B.swapaxes(1, 2)).reshape(
+                    len(at), -1, r, r) for B in (take(Q, at), Z))))
+    return groups
 
 
-def _components(spaces: list, commutants: list, tables: list, seed: int) -> list:
-    """The isotypic decomposition of each space from its commutant's block table.
+def _components(spaces: list, groups: list, tables: list, seed: int) -> tuple[list, tuple]:
+    """The isotypic decomposition of each space from its commutant's block
+    table, and the refined weights of all of them as ``(owner, values)``,
+    ``values[j]`` belonging to space ``owner[j]``.
 
-    A component's weight is ``|V^dag xi|^2`` for its range V (orthonormal
-    columns) and the cyclic vector xi, and its projection ``P = V V^dag``
-    is formed for the report alone; one stack of V and xi per shape (for
-    m > 1 also per commutant dimension) gives both and the refined weights.
-    A component of multiplicity m > 1 spreads its weight over m Schmidt
-    directions. On the range of ``P`` the representation acts as
-    ``M_n (x) 1_m`` and the commutant's corner as ``1_n (x) M_m``. The
-    Hilbert-Schmidt projection of ``|v><v|`` (``v = P xi``) onto that
-    corner is the trace-preserving conditional expectation
-    ``1_n (x) sigma / n``, with ``sigma`` the state of ``v`` on the corner:
-    its eigenvalues come in m groups of n equal values, and n times each
-    group value is a weight. ``P`` is central in the commutant, so that is
-    the projection onto the whole commutant, compressed to ``V``.
+    ``groups`` are those of :func:`_commutant_and_center` and ``tables``
+    their :func:`gnsentropy.star_algebra.read_blocks` stacks, each of one
+    range width and multiplicity; every stack is read at once. A
+    component's weight is ``|V^dag xi|^2`` for its range V (orthonormal
+    columns) and the cyclic vector xi; its projection ``P = V V^dag``, which
+    the block reading formed, goes to the report. A component of
+    multiplicity m > 1 spreads its weight over m Schmidt directions. On the
+    range of ``P`` the representation acts as ``M_n (x) 1_m`` and the
+    commutant's corner as ``1_n (x) M_m``. The Hilbert-Schmidt projection of
+    ``|v><v|`` (``v = P xi``) onto that corner is the trace-preserving
+    conditional expectation ``1_n (x) sigma / n``, with ``sigma`` the state
+    of ``v`` on the corner: its eigenvalues come in m groups of n equal
+    values, and n times each group value is a weight. ``P`` is central in
+    the commutant, so that is the projection onto the whole commutant,
+    compressed to ``V``; its image Y of ``|xi><xi|`` is formed once per
+    group that has such a component.
     """
-    pairs = [(i, m, n, V) for i, table in enumerate(tables) for m, n, V in table]
-    weight, proj, refined = {}, {}, {}
-    for (r, _, *refine), pos in regroup(
-            [V.shape + ((commutants[i].dim, n, m) if m > 1 else ()) for i, m, n, V in pairs]):
-        V = stack([pairs[p][3] for p in pos])
-        xi = stack([spaces[pairs[p][0]].cyclic_vector for p in pos])
-        y = (dagger(V) @ xi[..., None])[..., 0]
-        weight.update(zip(pos, (y.conj() * y).real.sum(axis=1).tolist()))
-        proj.update(zip(pos, V @ dagger(V)))
-        if not refine:
-            continue
-        c, n, m = refine
-        C = stack([commutants[pairs[p][0]].basis for p in pos])
-        # <C_j, |xi><xi|> = conj(<xi| C_j |xi>)
-        coeffs = ((C @ xi[:, None, :, None])[..., 0] @ xi.conj()[..., None]).conj()
-        Y = (coeffs.swapaxes(1, 2) @ C.reshape(-1, c, r * r)).reshape(-1, r, r)
-        vals = np.linalg.eigvalsh(hermitize(dagger(V) @ Y @ V))[:, ::-1]
-        groups = vals.reshape(-1, m, n)
-        spread = (groups.max(axis=2) - groups.min(axis=2)).max(axis=1)
-        scale = np.maximum(1.0, np.abs(vals).max(axis=1))
-        refined.update(zip(pos, zip(np.clip(n * groups.mean(axis=2), 0.0, None), spread, scale)))
-    # checked in table order, so a space raises its first failing component
-    components = [[] for _ in tables]
-    for p, (i, m, n, _) in enumerate(pairs):
-        weights, spread, scale = refined.get(p, (np.array([weight[p]]), 0.0, 1.0))
-        total, w_k = weights.sum(), weight[p]
-        if spread > RESULT_TOL * scale:
-            raise DecompositionError(
-                f"corner expectation eigenvalues do not come in {m} groups of "
-                f"{n} (spread {spread:.3e})"
-            )
-        if abs(total - w_k) > RESULT_TOL * max(w_k, 1.0):
-            raise DecompositionError(f"refined weights sum to {total!r}, expected {w_k!r}")
-        components[i].append(IsotypicComponent(projection=proj[p], irrep_dim=n, multiplicity=m,
-                                               weight=w_k, refined_weights=weights))
+    found, failed = [[] for _ in spaces], []
+    dims, owners, values = [None] * len(spaces), [], []
+    for (pos, C, _), table in zip(groups, tables):
+        g, c, r = C.shape[:3]
+        xi = stack([spaces[i].cyclic_vector for i in pos])
+        Y = None
+        for owner, order, m, n, V, P in table:
+            y = (dagger(V) @ xi[owner][..., None])[..., 0]
+            weight = (y.conj() * y).real.sum(axis=1)
+            refined, spaces_of = weight[:, None], pos[owner]
+            if m > 1:
+                if Y is None:
+                    # <C_j, |xi><xi|> = conj(<xi| C_j |xi>)
+                    coeffs = ((C @ xi[:, None, :, None])[..., 0] @ xi.conj()[..., None]).conj()
+                    Y = (coeffs.swapaxes(1, 2) @ C.reshape(g, c, r * r)).reshape(g, r, r)
+                vals = np.linalg.eigvalsh(hermitize(dagger(V) @ Y[owner] @ V))[:, ::-1]
+                split = vals.reshape(-1, m, n)
+                spread = (split.max(axis=2) - split.min(axis=2)).max(axis=1)
+                uneven = spread > RESULT_TOL * np.maximum(1.0, np.abs(vals).max(axis=1))
+                refined = np.maximum(n * (split.sum(axis=2) / n), 0.0)  # n times each group mean
+                off = np.abs(refined.sum(axis=1) - weight) > RESULT_TOL * np.maximum(weight, 1.0)
+                failed += [(spaces_of[j], order[j], (
+                    f"corner expectation eigenvalues do not come in {m} groups of "
+                    f"{n} (spread {spread[j]:.3e})") if uneven[j] else (
+                    f"refined weights sum to {refined[j].sum()!r}, expected {weight[j].item()!r}"))
+                    for j in np.flatnonzero(uneven | off).tolist()]
+            owners.append(np.repeat(spaces_of, m))
+            values.append(refined.ravel())
+            for i, w_k, z, refined_k, order_k in zip(spaces_of.tolist(), weight.tolist(), P, refined, order):
+                found[i].append(((-n, -m, -w_k, order_k), IsotypicComponent(
+                    projection=z, irrep_dim=n, multiplicity=m, weight=w_k, refined_weights=refined_k)))
+        for i in pos.tolist():
+            dims[i] = c
+    if failed:
+        # the first component, in input and refinement order, that fails
+        raise DecompositionError(min(failed, key=lambda f: f[:2])[2])
     out = []
-    for found, C in zip(components, commutants):
-        found.sort(key=lambda c: (-c.irrep_dim, -c.multiplicity, -c.weight))
-        total = sum(c.weight for c in found)
+    for comps, c in zip(found, dims):
+        comps.sort()  # the refinement order tells any two apart
+        total = sum(comp.weight for _, comp in comps)
         if abs(total - 1.0) > RESULT_TOL:
             raise DecompositionError(f"component weights sum to {total!r}, not 1")
-        out.append(IsotypicDecomposition(components=tuple(found), commutant_dim=C.dim, seed=seed))
-    return out
+        out.append(IsotypicDecomposition(components=tuple(comp for _, comp in comps),
+                                         commutant_dim=c, seed=seed))
+    return out, (np.concatenate(owners), np.concatenate(values))
 
 
-def _isotypic(spaces: list, seed: int, rtol: float, cluster_tol: float) -> list:
-    """:func:`isotypic_decompose` for a list of spaces, a decomposition per
-    space. Each stage runs stacked over all of them."""
+def _isotypic(spaces: list, seed: int, rtol: float, cluster_tol: float) -> tuple[list, tuple]:
+    """:func:`isotypic_decompose` for a list of spaces: a decomposition per
+    space, and their refined weights as :func:`_components` gives them.
+    Each stage runs stacked, on the groups of the first."""
     if not all(sp.gns_dim for sp in spaces):
         raise ValueError("GNS space is zero-dimensional")
-    commutants, centers = _commutant_and_center(spaces, rtol)
-    tables = read_blocks(commutants, centers, cluster_tol, "commutant corner")
-    return _components(spaces, commutants, tables, seed)
+    groups = _commutant_and_center(spaces, rtol)
+    tables = read_blocks([(C, Z) for _, C, Z in groups], rtol, cluster_tol, "commutant corner")
+    return _components(spaces, groups, tables, seed)
 
 
 def isotypic_decompose(
@@ -502,17 +512,18 @@ def isotypic_decompose(
     """
     rtol = space.rtol if rtol is None else rtol
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
-    return _isotypic([space], seed, rtol, cluster_tol)[0]
+    return _isotypic([space], seed, rtol, cluster_tol)[0][0]
 
 
 def gns_density(iso: IsotypicDecomposition, tol: float = DEFAULT_RTOL):
     """Spectrum of the restricted state: refined weights above the cut at ``tol``.
 
     Zero-weight entries are kept in the decomposition report but dropped
-    here; what remains sums to 1 within tolerance.
+    here; what remains sums to 1 within tolerance. This is the batch of one
+    of the spectra :func:`gnsentropy.entropy.restriction_entropies` takes.
     """
-    from .entropy import SpectralState
+    from .entropy import SpectralState, _gns_spectra
 
     w = iso.flattened_weights()
-    w = np.sort(w[above_cut(w, 1.0, tol, w.size, "square")])[::-1]
-    return SpectralState(weights=w)
+    rows, kept = _gns_spectra((np.zeros(w.size, dtype=int), w), 1, tol)
+    return SpectralState(weights=rows[0, : kept[0]])

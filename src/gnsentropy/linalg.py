@@ -108,12 +108,12 @@ def above_cut(values, scale, rtol: float, size: int, kind: str = "norm"):
     of a factorization ``size`` wide (numpy's ``matrix_rank`` rule), and at
     least ``NULL_FLOOR`` on squares, its square root on other values.
     ``scale`` is the caller's, in the unit of the values, and broadcasts
-    against them. ``kind`` names that unit: ``"norm"`` (singular values,
-    row norms, residuals), ``"square"`` (eigenvalues of a Gram or density
-    matrix) or ``"residual"`` (closure and adjoint residuals, which may
-    exceed the norm cut by ``CLOSURE_SLACK``).
+    against them, as ``size`` does. ``kind`` names that unit: ``"norm"``
+    (singular values, row norms, residuals), ``"square"`` (eigenvalues of a
+    Gram or density matrix) or ``"residual"`` (closure and adjoint
+    residuals, which may exceed the norm cut by ``CLOSURE_SLACK``).
     """
-    cut = max(rtol, size * math.ulp(1.0)) * scale
+    cut = np.maximum(rtol, size * math.ulp(1.0)) * scale
     cut = np.maximum(CLOSURE_SLACK * cut if kind == "residual" else cut,
                      NULL_FLOOR if kind == "square" else math.sqrt(NULL_FLOOR))
     return cut if values is None else values > cut
@@ -254,31 +254,48 @@ def take(a: np.ndarray, sub: np.ndarray) -> np.ndarray:
     return a if len(sub) == len(a) else a[sub]
 
 
-def eig_clusters(vals: np.ndarray, tol: float) -> tuple[list[list[slice]], np.ndarray]:
-    """Group each row of a stack of ascending real values (N, t) into
-    clusters separated by gaps > tol: the slices of each row, and its
-    smallest separating gap (inf when there is none)."""
-    steps = np.diff(vals, axis=-1)
-    apart = steps > tol
-    cuts: list[list[int]] = [[0] for _ in apart]
-    rows, cols = np.nonzero(apart)
-    for row, col in zip(rows.tolist(), cols.tolist()):
-        cuts[row].append(col + 1)
-    clusters = [[slice(a, b) for a, b in zip(c, c[1:] + [vals.shape[-1]])] for c in cuts]
-    return clusters, np.where(apart, steps, np.inf).min(axis=-1, initial=np.inf)
+def eig_clusters(vals: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """The clusters of each row of a stack of ascending real values (N, t),
+    separated by gaps > tol, one entry per cluster in row order and then in
+    ascending order: ``(row, start, size)``, its row, first column and size."""
+    first = np.ones(vals.shape, dtype=bool)
+    first[:, 1:] = vals[:, 1:] - vals[:, :-1] > tol
+    # every row starts a cluster, so a cluster ends where the next one starts
+    flat = first.ravel().nonzero()[0]
+    row, start = np.divmod(flat, vals.shape[1])
+    return row, start, np.concatenate((flat[1:], [first.size])) - flat
+
+
+def integer_readings(values) -> tuple[np.ndarray, np.ndarray]:
+    """Readings rounded to the nearest integer, as floats, and which of
+    them lie within ``INTEGER_TOL`` of a positive integer (a non-finite
+    reading does not): the rule of :func:`check_int`, as an array test."""
+    values = np.asarray(values, dtype=float)
+    rounded = np.rint(np.where(np.isfinite(values), values, 0.0))
+    return rounded, (np.abs(values - rounded) <= INTEGER_TOL) & (rounded > 0)
+
+
+def square_readings(values) -> tuple[np.ndarray, np.ndarray]:
+    """The integer square roots of readings that :func:`integer_readings`
+    rounds, and which of them round to the square of a positive integer:
+    the rule of :func:`check_square`, as an array test."""
+    rounded, whole = integer_readings(values)
+    root = np.floor(np.sqrt(np.maximum(rounded, 0.0)))
+    return root, whole & (root * root == rounded)
 
 
 def check_int(value: float, what: str) -> int:
     """A reading rounded to a positive integer; DecompositionError if it is not one."""
-    value = float(value)
-    if not math.isfinite(value) or abs(value - round(value)) > INTEGER_TOL or round(value) <= 0:
-        raise DecompositionError(f"{what} = {value!r} is not a positive integer")
-    return round(value)
+    rounded, ok = integer_readings(value)
+    if not ok:
+        raise DecompositionError(f"{what} = {float(value)!r} is not a positive integer")
+    return int(rounded)
 
 
 def check_square(value: float, what: str) -> int:
     """The square root of a reading that :func:`check_int` rounds to a perfect square."""
-    root = math.isqrt(check_int(value, what))
-    if root * root != round(value):
+    root, ok = square_readings(value)
+    if not ok:
+        check_int(value, what)
         raise DecompositionError(f"{what} = {float(value)!r} is not a perfect square")
-    return root
+    return int(root)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,9 +39,11 @@ from .linalg import (
     eigh_null_split,
     hermitian_span_basis,
     hs_norm,
+    integer_readings,
     orthonormalize_rows,
     regroup,
-    stack,
+    square_readings,
+    take,
 )
 
 
@@ -134,13 +137,10 @@ class OperatorSpan:
         return np.tensordot(np.asarray(coeffs, dtype=complex), self.basis, axes=(0, 0))
 
     def corner_dims(self, ranges) -> np.ndarray:
-        """``Re trace(V^dag K V)``, ``K = sum_a B_a B_a^dag``: dim zA for each
-        ``z = V V^dag`` central in this *-closed span A (V orthonormal columns),
-        as X -> zX is the HS-orthogonal projection onto zA (Murota, Kanno,
-        Kojima and Kojima, Japan J. Indust. Appl. Math. 27, 2010)."""
-        stacked = np.concatenate(self.basis, axis=1)  # [B_0 | B_1 | ...], D x nD
-        K = stacked @ stacked.conj().T
-        return np.array([np.vdot(V, K @ V).real for V in ranges])
+        """dim zA for each ``z = V V^dag`` central in this *-closed span A, V
+        in ``ranges`` (orthonormal columns): :func:`corner_dims`."""
+        z = np.array([V @ dagger(V) for V in ranges]).reshape(-1, self.ambient_dim, self.ambient_dim)
+        return corner_dims(self.basis[None], np.zeros(len(z), dtype=int), z)
 
     def project(self, X: np.ndarray) -> np.ndarray:
         return self.reconstruct(self.coords(X))
@@ -458,78 +458,147 @@ def commutant(rep_matrices, rtol: float | None = None) -> OperatorSpan:
     return OperatorSpan(basis, rtol=rtol)
 
 
-def minimal_projections(commutatives: list, cluster_tol: float | None = None) -> list:
+def corner_dims(bases: np.ndarray, owner: np.ndarray, projections: np.ndarray) -> np.ndarray:
+    """dim zA for each projection z central in a *-closed span A, read off a
+    trace: for spans with orthonormal bases in a stack ``bases`` (g, n, D,
+    D) and projections (h, D, D), the readings ``Re trace(K z)`` with
+    ``K = sum_a B_a B_a^dag`` of span ``owner[j]``. X -> zX is the
+    HS-orthogonal projection onto zA (Murota, Kanno, Kojima and Kojima,
+    Japan J. Indust. Appl. Math. 27, 2010). K is one product per span, and
+    the readings one contraction."""
+    g, n, D = bases.shape[:3]
+    stacked = bases.swapaxes(1, 2).reshape(g, D, n * D)  # [B_0 | B_1 | ...], D x nD
+    K = stacked @ dagger(stacked)
+    # trace(K z) = <z, K> for Hermitian z
+    return np.einsum("hk,hk->h", projections.reshape(-1, D * D).conj(),
+                     K[owner].reshape(-1, D * D)).real
+
+
+def minimal_projections(bases: np.ndarray, rtol: float, cluster_tol: float | None = None) -> list:
     """Ranges of the minimal projections of each commutative unital
-    *-closed span in a list: one list of ranges per span.
+    *-closed span in a stack of orthonormal bases (g, z, D, D), as stacks
+    ``(owner, order, V)`` of one range width w: ``V[j]`` (D x w orthonormal
+    columns, the projection being ``V V^dag``) is a range of span
+    ``owner[j]``, and sorting a span's ranges by ``order[j]`` (the first
+    cluster column of each split, a tuple) gives its refinement order.
 
     Joint refinement (Maehara and Murota, SIAM J. Matrix Anal. Appl. 32,
     2011): from the identity, each Hermitian basis element in turn is
     compressed to every current range and splits it at its eigenvalue
     clusters, until there are as many ranges as the span dimension. The
     span is commutative, so each compression is exact; a dim-1 span returns
-    the identity untouched. Each range comes back as orthonormal columns V
-    (D x rank), the projection being ``V V^dag``. Two minimal projections
-    differ by at least sqrt(2)/D in some basis coordinate, so for D up to
-    about 1e4 the basis separates them at the default ``cluster_tol``.
-    Every step takes one stacked Hermitian basis cut per span shape and one
-    stacked ``eigh`` per range width, across all spans still being split.
-    :class:`DecompositionError` is raised for the first span whose refinement
-    falls short.
+    the identity untouched. Two minimal projections differ by at least
+    sqrt(2)/D in some basis coordinate, so for D up to about 1e4 the basis
+    separates them at the default ``cluster_tol``. The Hermitian bases take
+    one stacked cut; every step takes one stacked ``eigh`` per range width,
+    and one product per cluster width, of the columns of each such cluster.
+    :class:`DecompositionError` is raised for the first span whose
+    refinement falls short.
     """
     cluster_tol = CLUSTER_TOL if cluster_tol is None else cluster_tol
-    if any(Z.dim == 0 for Z in commutatives):
+    g, z, D = bases.shape[:3]
+    if z == 0:
         raise DecompositionError("a center of dimension 0: the rank cut dropped its unit")
-    out = [[np.eye(Z.ambient_dim, dtype=complex)] for Z in commutatives]
-    herm = {}
-    for (n, D, rtol), pos in regroup(
-            [None if Z.dim == 1 else (Z.dim, Z.ambient_dim, Z.rtol) for Z in commutatives]):
-        h, rank = hermitian_span_basis(stack([commutatives[i].basis for i in pos]), rtol)
-        herm.update((i, h[j, : rank[j]]) for j, i in enumerate(pos))
-    gap = dict.fromkeys(herm, np.inf)
-    for step in range(max((len(h) for h in herm.values()), default=0)):
-        pairs = [(i, V) for i, h in herm.items()
-                 if step < len(h) and len(out[i]) < commutatives[i].dim for V in out[i]]
-        if not pairs:
+    stacks = [(np.arange(g), [()] * g, np.repeat(np.eye(D, dtype=complex)[None], g, axis=0))]
+    if z == 1:
+        return stacks
+    herm, rank = hermitian_span_basis(bases, rtol)
+    count, done, seen, cols = np.ones(g, dtype=int), [], [], np.arange(D)
+    for step in range(herm.shape[1]):
+        live = (step < rank) & (count < z)
+        if not live.any():
             break
-        split = [None] * len(pairs)
-        for _, pos in regroup([V.shape for _, V in pairs]):
-            V = stack([pairs[p][1] for p in pos])
-            h = stack([herm[pairs[p][0]][step] for p in pos])
-            vals, vecs = np.linalg.eigh(dagger(V) @ h @ V)
-            clusters, gaps = eig_clusters(vals, cluster_tol)
-            for j, p in enumerate(pos):
-                i = pairs[p][0]
-                gap[i] = min(gap[i], gaps[j])
-                split[p] = [V[j] @ vecs[j][:, cl] for cl in clusters[j]]
-        for i in {i for i, _ in pairs}:
-            out[i] = []
-        for (i, _), ranges in zip(pairs, split):
-            out[i] += ranges
-    for i in sorted(herm):
-        if len(out[i]) != commutatives[i].dim:
-            raise DecompositionError(
-                f"joint refinement found {len(out[i])} of {commutatives[i].dim} minimal "
-                f"projections (smallest separating gap {gap[i]:.3e}, cluster_tol {cluster_tol:.1e})"
-            )
-    return out
+        split = []
+        for owner, order, V in stacks:
+            go = live[owner]
+            if not go.all():  # the ranges of spans that are done stay as they are
+                rest, at = np.flatnonzero(~go), np.flatnonzero(go)
+                done.append((owner[rest], [order[j] for j in rest], V[rest]))
+                if not len(at):
+                    continue
+                owner, order, V = owner[at], [order[j] for j in at], V[at]
+            vals, vecs = np.linalg.eigh(dagger(V) @ herm[owner, step] @ V)
+            row, start, size = eig_clusters(vals, cluster_tol)
+            seen.append((owner, vals))
+            t = cols[: vals.shape[1]]
+            for w, sel in regroup(size):
+                # the columns of each cluster, gathered: one product per cluster width
+                r, a = row[sel], start[sel]
+                product = V[r] @ vecs[r[:, None, None], t[:, None], a[:, None, None] + t[:w]]
+                split.append((owner[r], [order[j] + (c,) for j, c in zip(r.tolist(), a.tolist())], product))
+        stacks = _by_width(split)
+        # a live span's ranges are all in this step's split
+        count = np.where(live, np.bincount(np.concatenate([owner for owner, *_ in stacks]), minlength=g), count)
+    short = np.flatnonzero(count != z)
+    if len(short):
+        i = short[0]
+        steps = np.concatenate([np.diff(vals[owner == i]).ravel() for owner, vals in seen])
+        gap = steps[steps > cluster_tol].min(initial=np.inf)
+        raise DecompositionError(
+            f"joint refinement found {count[i]} of {z} minimal projections (smallest "
+            f"separating gap {gap:.3e}, cluster_tol {cluster_tol:.1e})"
+        )
+    return _by_width(stacks + done)
 
 
-def read_blocks(algebras: list, centers: list, cluster_tol: float, what: str) -> list:
-    """The block table of each unital *-closed span in ``algebras`` from its
-    center in ``centers``: ``(root, rank / root, V)`` for each range V of the
-    minimal projections of the center. root^2 = dim zA (``z = V V^dag``) is
-    read off a trace and must be a perfect square, and rank = ``V.shape[1]``
-    a multiple of root. That is (block rank, multiplicity) on a block algebra
-    and (multiplicity, irrep dimension) on a commutant; ``what`` names the
-    reading in errors, and the first table that fails raises."""
+def _join(arrays: list) -> np.ndarray:
+    """The arrays joined along their first axis; one array is itself."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _by_width(stacks: list) -> list:
+    """Range stacks ``(owner, order, V)`` joined into one stack per width."""
+    widths: dict = {}
+    for item in stacks:
+        widths.setdefault(item[2].shape[-1], []).append(item)
+    return [parts[0] if len(parts) == 1 else
+            (_join([p[0] for p in parts]), [o for p in parts for o in p[1]], _join([p[2] for p in parts]))
+            for parts in widths.values()]
+
+
+def read_blocks(groups: list, rtol: float, cluster_tol: float, what: str) -> list:
+    """Block tables of unital *-closed spans, from their centers, for groups
+    ``(algebras, centers)`` of orthonormal bases stacked by shape, (g, n, D,
+    D) and (g, z, D, D). For each group a list of stacks ``(owner, order,
+    root, quotient, V, P)`` of the ranges V of the minimal projections
+    ``P = V V^dag`` of the centers (:func:`minimal_projections`) that share
+    a width and a root: for each range of span ``owner[j]``, root^2 =
+    dim zA (z = P) is read off a trace (:func:`corner_dims`, one
+    contraction per group), and ``quotient = rank / root``, rank =
+    ``V.shape[-1]``. That is (block rank, multiplicity) on a block algebra
+    and (multiplicity, irrep dimension) on a commutant. Each reading must
+    be a perfect square and each rank a multiple of its root:
+    :func:`square_readings` and :func:`integer_readings` test a group at
+    once, and the first failure, by group, span and refinement order, is
+    worded by :func:`check_square` or :func:`check_int`, which apply the
+    same rule, led by ``what``. V and P come back read-only."""
+    # every refinement runs before any reading is checked
+    refined = [minimal_projections(Z, rtol, cluster_tol) for _, Z in groups]
     tables = []
-    for A, ranges in zip(algebras, minimal_projections(centers, cluster_tol=cluster_tol)):
+    for (A, _), stacks in zip(groups, refined):
+        owner = _join([owner for owner, *_ in stacks])
+        P = _join([V @ dagger(V) for *_, V in stacks])
+        rank = np.repeat([V.shape[-1] for *_, V in stacks], [len(V) for *_, V in stacks])
+        reading = corner_dims(A, owner, P)
+        root, square = square_readings(reading)
+        ok = square & integer_readings(rank / np.maximum(root, 1.0))[1]
+        if not ok.all():
+            # the scalar checks apply the same rule, so they raise on this reading
+            orders = [o for _, order, _ in stacks for o in order]
+            j = min(np.flatnonzero(~ok), key=lambda j: (owner[j], orders[j]))
+            root = check_square(reading[j], f"{what} dimension")
+            check_int(rank[j] / root, f"rank {rank[j]} / sqrt({what} dimension) {root}")
+        root = root.astype(int)
         tables.append([])
-        for V, reading in zip(ranges, A.corner_dims(ranges)):
-            root, rank = check_square(reading, f"{what} dimension"), V.shape[1]
-            quotient = check_int(rank / root, f"rank {rank} / sqrt({what} dimension) {root}")
-            V.setflags(write=False)
-            tables[-1].append((root, quotient, V))
+        # the readings follow the stacks in order
+        for (owner, order, V), end in zip(stacks, accumulate(len(V) for *_, V in stacks)):
+            z = P[end - len(V):end]
+            for m, at in regroup(root[end - len(V):end]):
+                ranges, projections = take(V, at), take(z, at)
+                ranges.setflags(write=False)
+                projections.setflags(write=False)
+                tables[-1].append((take(owner, at), [order[j] for j in at], m, V.shape[-1] // m,
+                                   ranges, projections))
     return tables
 
 
@@ -560,16 +629,17 @@ def wedderburn(
         return cached
     check_algebra(span, rtol, "wedderburn")
     Z = center(span, rtol=rtol)
-    (blocks,) = read_blocks([span], [Z], cluster_tol, "block")
-    blocks.sort(key=lambda b: (-b[0], -b[1]))
-    projections = np.array([V @ dagger(V) for *_, V in blocks])
+    (table,) = read_blocks([(span.basis[None], Z.basis[None])], rtol, cluster_tol, "block")
+    blocks = [(n, m, order[j], V[j], P[j]) for _, order, n, m, V, P in table for j in range(len(V))]
+    blocks.sort(key=lambda b: (-b[0], -b[1], b[2]))
+    projections = np.array([b[4] for b in blocks])
     projections.setflags(write=False)
     data = WedderburnData(
         projections=projections,
         block_ranks=tuple(b[0] for b in blocks),
         multiplicities=tuple(b[1] for b in blocks),
         center_dim=Z.dim,
-        ranges=tuple(b[2] for b in blocks),
+        ranges=tuple(b[3] for b in blocks),
     )
     if sum(data.block_dims) != span.dim:
         raise DecompositionError(

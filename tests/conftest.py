@@ -50,8 +50,10 @@ NON_CENTRAL_SPLITS = {
 @pytest.fixture
 def non_central_projections(monkeypatch):
     """Both routes take NON_CENTRAL_SPLITS in place of their minimal projections."""
-    def fake(commutatives, cluster_tol=None):
-        eyes = [np.eye(Z.ambient_dim, dtype=complex) for Z in commutatives]
-        return [[eye[:, cols] for cols in NON_CENTRAL_SPLITS[len(eye)]] for eye in eyes]
+    def fake(bases, rtol, cluster_tol=None):
+        g, D = len(bases), bases.shape[-1]
+        eye = np.eye(D, dtype=complex)
+        return [(np.arange(g), [(k,)] * g, np.broadcast_to(eye[:, cols], (g, D, len(cols))))
+                for k, cols in enumerate(NON_CENTRAL_SPLITS[D])]
 
     monkeypatch.setattr(star_algebra, "minimal_projections", fake)

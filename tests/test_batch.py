@@ -1,6 +1,7 @@
 """The batched entry point against a loop of the single-state one."""
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gnsentropy import (
     wedderburn,
 )
 from gnsentropy import linalg
+from gnsentropy.cli import plane_to_angles
 from gnsentropy.entropy import state_chunks
 from gnsentropy.fock import example_generators
 
@@ -219,3 +221,51 @@ def test_a_batch_of_one_pays_few_stacks_and_regroups(monkeypatch):
     rep = restriction_entropy(span, random_density(np.random.default_rng(5), 5, 5))
     assert rep.gns_dim == 25 and rep.methods_agree
     assert counts["regroup"] <= 7 and counts["stack"] <= 8
+
+
+def count_calls(monkeypatch) -> list:
+    """From here on, log each LAPACK factorization as (name, item shape) and
+    each regroup and stack call as (name,)."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        def factorization(a, *args, _name=name, _original=getattr(np.linalg, name), **kw):
+            calls.append((_name, np.shape(a)[1:]))
+            return _original(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, factorization)
+    for name in ("regroup", "stack"):
+        original = getattr(linalg, name)
+
+        def bookkeeping(*args, _name=name, _original=original):
+            calls.append((_name,))
+            return _original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("gnsentropy")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, bookkeeping)
+    return calls
+
+
+def test_a_chunk_of_32_states_of_one_shape_makes_the_calls_of_a_chunk_of_2(monkeypatch):
+    """Each stage stacks the states that share a shape. 32 generic grid
+    states that a solve alone takes through the same factorization shapes
+    make, as one chunk, exactly the LAPACK, regroup and stack calls that 2
+    of them make: no stage loops over states."""
+    span, family = example_generators("ex5_bosons")
+    wedderburn(span)
+    axis = np.linspace(-2.0, 2.0, 21)
+    states = [family.state(theta=theta, phi=phi)
+              for theta, phi in (plane_to_angles(float(x), float(y)) for x in axis for y in axis)]
+    calls = count_calls(monkeypatch)
+
+    def solve(batch):
+        calls.clear()
+        restriction_entropies(span, batch)
+        return Counter(calls)
+
+    shapes = [tuple(sorted(c for c in solve([st]) if len(c) == 2)) for st in states]
+    common, _ = Counter(shapes).most_common(1)[0]
+    chunk = [st for st, shape in zip(states, shapes) if shape == common][:32]
+    assert len(chunk) == 32 and len(state_chunks(span, 32)) == 1
+    assert sum(1 for c in common if c[0] == "eigh") >= 1  # the refinement ran
+    assert solve(chunk) == solve(chunk[:2])

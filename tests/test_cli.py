@@ -369,7 +369,7 @@ def test_grid_single_method_routes(capsys):
 
 
 #: ``gnsentropy grid --resolution 11`` as printed before the block sizes and
-#: multiplicities were read off traces; all three methods printed it.
+#: multiplicities were read off traces; all three methods print it byte for byte.
 GOLDEN_GRID = Path(__file__).parent / "golden" / "grid_r11.csv"
 
 
@@ -377,13 +377,8 @@ GOLDEN_GRID = Path(__file__).parent / "golden" / "grid_r11.csv"
 def test_grid_matches_the_committed_golden(capsys, method):
     code, out, _ = run_cli(capsys, "grid", "--resolution", "11", "--method", method)
     assert code == EXIT_OK
-    got = [line.split(",") for line in out.splitlines()]
-    want = [line.split(",") for line in GOLDEN_GRID.read_text().splitlines()]
-    assert len(got) == len(want) == 1 + 121
-    assert got[0] == want[0] == ["x", "y", "entropy"]
-    for row, golden in zip(got[1:], want[1:]):
-        assert row[:2] == golden[:2]
-        assert abs(float(row[2]) - float(golden[2])) <= 1e-14, row
+    assert out.count("\n") == 1 + 121
+    assert out == GOLDEN_GRID.read_text()
 
 
 #: ``gnsentropy sweep --method both --steps 200`` per preset, as printed
@@ -506,6 +501,46 @@ def test_a_bad_tolerance_exits_2(tmp_path, capsys, command, tol):
     code, out, err = run_cli(capsys, *tolerance_argv(tmp_path, command), f"--tol={tol}")
     assert (code, out) == (EXIT_VALIDATION, "")
     assert "error: tolerance must be finite and non-negative" in err
+
+
+#: Scenarios whose JSON has the wrong type at one field, and that field.
+MALFORMED_SCENARIOS = [
+    ({"algebra": {"generators": 5}, "ambient_dim": 2, "state": {"vector": [[1, 0], [0, 0]]}},
+     "algebra.generators"),
+    ({"algebra": {"preset": "ex1_m2"}, "state": {"parameters": 3}}, "state.parameters"),
+    ({"algebra": {"preset": ["ex1_m2"]}, "state": {"parameters": {}}}, "algebra.preset"),
+    ({"algebra": {"preset": "ex1_m2"}, "state": {"parameters": {}}, "tolerance": "abc"},
+     "tolerance"),
+    ({"algebra": {"preset": "ex1_m2"}, "state": {"parameters": {"lambda": [0.5]}}},
+     "state.parameters.lambda"),
+    ({"algebra": {"preset": "ex1_m2"}, "state": {"vector": {"re": 1}}}, "state.vector"),
+    ({"algebra": {"generators": [[["a", 0]]]}, "ambient_dim": 1, "state": {"vector": [[1, 0]]}},
+     "algebra.generators[0]"),
+    ({"algebra": {"generators": []}, "ambient_dim": 0, "state": {"vector": []}}, "ambient_dim"),
+    # Python reads a JSON boolean as 0 or 1; a scenario may not
+    pytest.param({"algebra": {"preset": "ex1_m2"}, "state": {"parameters": {}}, "tolerance": True},
+                 "tolerance", id="tolerance-boolean"),
+    pytest.param({"algebra": {"preset": "ex1_m2"}, "state": {"parameters": {"lambda": True}}},
+                 "state.parameters.lambda", id="state.parameters.lambda-boolean"),
+]
+
+
+@pytest.mark.parametrize("spec, field", MALFORMED_SCENARIOS,
+                         ids=[case[1] if isinstance(case, tuple) else None
+                              for case in MALFORMED_SCENARIOS])
+def test_a_malformed_scenario_exits_2_naming_the_field(tmp_path, capsys, spec, field):
+    code, out, err = run_cli(capsys, "run", write_spec(tmp_path, "s.json", spec))
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_numeric_string_tolerance_still_reads_as_a_number(tmp_path, capsys):
+    spec = {"algebra": {"preset": "ex1_m2"}, "state": {"parameters": {}}}
+    code, out, _ = run_cli(capsys, "run", write_spec(tmp_path, "s.json", spec))
+    spec["tolerance"] = "1e-10"
+    code_str, out_str, _ = run_cli(capsys, "run", write_spec(tmp_path, "t.json", spec))
+    assert code == code_str == EXIT_OK and out == out_str
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

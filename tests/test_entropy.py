@@ -317,17 +317,28 @@ def test_a_mis_sized_state_is_named_on_both_routes(presets, preset_blocks, metho
         density_element(span, preset_blocks["ex5_bosons"], state)
 
 
+def test_gns_spectra_of_a_batch_are_sorted_and_cut_per_state():
+    # state 0 has two weights and state 1 three, handed over interleaved
+    owner, values = np.array([0, 1, 1, 1, 0]), np.array([0.5, 0.2, 0.3, 0.5, 0.5])
+    rows, kept = entropy._gns_spectra((owner, values), 2, DEFAULT_RTOL)
+    assert [rows[i, :k].tolist() for i, k in enumerate(kept)] == [[0.5, 0.5], [0.5, 0.3, 0.2]]
+    with pytest.raises(ValueError, match=r"spectral weights sum to .*0\.9\)?, not 1"):
+        entropy._gns_spectra((np.array([0, 0, 1, 1]), np.array([0.5, 0.5, 0.5, 0.4])), 2,
+                             DEFAULT_RTOL)
+
+
 def test_spectra_that_disagree_stop_a_both_run(presets, monkeypatch, tmp_path, capsys):
     # the GNS spectrum of the Bell pair moved by 1e-6, far above the oracle tolerance
-    exact = entropy.gns_density
+    exact = entropy._gns_spectra
 
-    def skewed(iso, tol=DEFAULT_RTOL):
-        w = exact(iso, tol).weights.copy()
-        w[0] += 1e-6
-        w[-1] -= 1e-6
-        return SpectralState(weights=w)
+    def skewed(*args):
+        rows, kept = exact(*args)
+        rows = rows.copy()
+        rows[:, 0] += 1e-6
+        rows[np.arange(len(rows)), kept - 1] -= 1e-6
+        return rows, kept
 
-    monkeypatch.setattr(entropy, "gns_density", skewed)
+    monkeypatch.setattr(entropy, "_gns_spectra", skewed)
     span, family = presets["ex2_bell"]
     state = family.state({})
     gns = restriction_entropy(span, state, method="gns").spectrum

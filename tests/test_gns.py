@@ -399,10 +399,16 @@ def test_purity_iff_trivial_commutant(presets):
 # commutant from the GNS triple, against the Kronecker oracle
 
 
+def commutant_and_center(space):
+    """The stage's commutant of one space and its center, as spans."""
+    ((_, C, Z),) = _commutant_and_center([space], space.rtol)
+    return OperatorSpan(C[0], rtol=space.rtol), OperatorSpan(Z[0], rtol=space.rtol)
+
+
 def assert_commutant_matches_oracle(space):
     # the GNS triple fixes the commutant: no span, state or ambient basis
     triple = dataclasses.replace(space, span=None, state=None, cyclic_basis=None)
-    (got,), _ = _commutant_and_center([triple], space.rtol)
+    got, _ = commutant_and_center(triple)
     want = commutant(list(space.rep_matrices))
     assert got.dim == want.dim
     gap = np.linalg.norm(bf.span_projector(got.basis) - bf.span_projector(want.basis), 2)
@@ -456,7 +462,7 @@ def test_quotient_commutant_of_faithful_state_is_right_regular(D):
     space = build_gns(full_matrix_algebra(D), AlgebraState(density=rho, normalize=True))
     assert space.null_dim == 0
     assert_commutant_matches_oracle(space)
-    assert _commutant_and_center([space], space.rtol)[0][0].dim == D * D
+    assert commutant_and_center(space)[0].dim == D * D
 
 
 @pytest.mark.parametrize("k, m, rng_seed", [(3, 3, 103), (4, 6, 101), (2, 5, 620), (4, 2, 621)])
@@ -518,7 +524,7 @@ def assert_gns_center_matches_oracle(space):
     # the triple alone: rep_matrices, null_coords and quotient_coords
     blank = dataclasses.replace(space, span=None, state=None, cyclic_basis=None,
                                 cyclic_vector=None, gram=None)
-    (C,), (got,) = _commutant_and_center([blank], space.rtol)
+    C, got = commutant_and_center(blank)
     want = center(C)  # C comes from a bare basis: commutators with all of it
     assert got.dim == want.dim
     # for orthonormal bases of equal dimension the projector gap is the
@@ -540,7 +546,7 @@ def test_gns_center_of_faithful_full_matrix_algebra_is_scalars(D):
     X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
     space = build_gns(full_matrix_algebra(D), AlgebraState(density=X @ X.conj().T, normalize=True))
     assert_gns_center_matches_oracle(space)
-    assert _commutant_and_center([space], space.rtol)[1][0].dim == 1
+    assert commutant_and_center(space)[1].dim == 1
 
 
 @pytest.mark.parametrize("rank", [1, 2, "full"])
@@ -589,7 +595,7 @@ def psi_overlaps(space, C):
 def assert_psi_splits_the_commutant(space):
     """The Psi overlaps vanish on the center and have every other singular
     value at least 1."""
-    (C,), (Z,) = _commutant_and_center([space], space.rtol)
+    C, Z = commutant_and_center(space)
     s = np.linalg.svd(psi_overlaps(space, C), compute_uv=False)
     assert np.count_nonzero(s <= 1e-8) == Z.dim >= 1
     assert s[: C.dim - Z.dim].min(initial=np.inf) >= 1.0 - 1e-10
@@ -689,8 +695,8 @@ def test_multiplicities_above_one_give_their_schmidt_weights():
 def assert_corner_traces_match_oracle(space):
     """Each commutant corner dimension read off a trace rounds to the rank
     of the corner P C P cut by SVD and sits within 1e-12 of it."""
-    (C,), centers = _commutant_and_center([space], space.rtol)
-    (ranges,) = minimal_projections(centers)
+    C, Z = commutant_and_center(space)
+    ranges = [V[j] for _, _, V in minimal_projections(Z.basis[None], Z.rtol) for j in range(len(V))]
     got = C.corner_dims(ranges)
     want = np.array([bf.corner_dim(V @ V.conj().T, C.basis) for V in ranges])
     assert np.array_equal(np.round(got), want)
@@ -747,7 +753,8 @@ def test_non_central_projections_fail_the_multiplicity_reading(non_central_proje
 
 def test_a_non_finite_component_trace_is_a_decomposition_error(monkeypatch):
     monkeypatch.setattr(star_algebra, "minimal_projections",
-                        lambda Zs, cluster_tol=None: [[np.full((4, 4), np.nan)] for _ in Zs])
+                        lambda bases, rtol, cluster_tol=None:
+                        [(np.arange(len(bases)), [()] * len(bases), np.full((len(bases), 4, 4), np.nan))])
     space = build_gns(full_matrix_algebra(2), AlgebraState(density=np.diag([0.7, 0.3])))
     with pytest.raises(DecompositionError,
                        match="commutant corner dimension = nan is not a positive integer"):

@@ -775,21 +775,48 @@ def test_minimal_projection_of_scalars_is_the_identity(monkeypatch):
         raise AssertionError("a dim-1 span needs no Hermitian basis")
 
     monkeypatch.setattr(star_algebra, "hermitian_span_basis", no_basis)
-    ((V,),) = minimal_projections([span])
-    assert np.array_equal(V, np.eye(4))
+    ((owner, order, V),) = minimal_projections(span.basis[None], span.rtol)
+    assert owner.tolist() == [0] and order == [()]
+    assert np.array_equal(V[0], np.eye(4))
 
 
 def test_minimal_projections_of_a_diagonal_algebra_are_its_blocks():
     diag = np.diag([1.0, 1.0, 2.0, 3.0, 3.0, 3.0]).astype(complex)
     span = span_closure([diag], include_unit=True)
     assert span.dim == 3
-    (ranges,) = minimal_projections([span])
+    ranges = [V[j] for _, _, V in minimal_projections(span.basis[None], span.rtol)
+              for j in range(len(V))]
     assert sorted(V.shape[1] for V in ranges) == [1, 2, 3]
     projs = [V @ V.conj().T for V in ranges]
     for V, P in zip(ranges, projs):
         assert np.abs(V.conj().T @ V - np.eye(V.shape[1])).max() < 1e-12
         assert np.abs(P @ diag - diag @ P).max() < 1e-12
     assert np.abs(sum(projs) - np.eye(6)).max() < 1e-12
+
+
+@pytest.mark.parametrize("diags", [
+    # the unit of the first splits into two clusters of one width
+    ([1.0, 1.0, 2.0, 2.0], [1.0, 2.0, 2.0, 2.0]),
+    ([1.0, 1.0, 2.0, 2.0, 3.0, 3.0], [1.0, 2.0, 2.0, 2.0, 3.0, 3.0],
+     [5.0, 5.0, 5.0, 5.0, 4.0, 6.0]),
+])
+def test_minimal_projections_of_a_stack_are_those_of_each_span_alone(diags):
+    spans = [span_closure([np.diag(d).astype(complex)], include_unit=True) for d in diags]
+    assert len({span.dim for span in spans}) == 1
+    bases = np.array([span.basis for span in spans])
+
+    def by_span(stacks, count):
+        ranges = [[] for _ in range(count)]
+        for owner, order, V in stacks:
+            for j, i in enumerate(owner.tolist()):
+                ranges[i].append((order[j], V[j]))
+        return [[V for _, V in sorted(r, key=lambda item: item[0])] for r in ranges]
+
+    together = by_span(minimal_projections(bases, 1e-10), len(spans))
+    for k, span in enumerate(spans):
+        (alone,) = by_span(minimal_projections(bases[k:k + 1], 1e-10), 1)
+        assert len(together[k]) == len(alone) == span.dim
+        assert all(np.array_equal(a, b) for a, b in zip(together[k], alone))
 
 
 def test_wedderburn_requires_a_unit():
@@ -906,7 +933,7 @@ def test_no_module_but_star_algebra_reads_how_a_span_is_certified():
 
 def test_a_center_of_dimension_zero_says_so(monkeypatch):
     with pytest.raises(DecompositionError, match="a center of dimension 0"):
-        minimal_projections([OperatorSpan(np.zeros((0, 3, 3)))])
+        minimal_projections(np.zeros((1, 0, 3, 3), dtype=complex), 1e-10)
     span = span_closure([np.diag([1.0, 2.0])], include_unit=True)
     monkeypatch.setattr(star_algebra, "center",
                         lambda span, rtol: OperatorSpan(np.zeros((0, 2, 2))))
